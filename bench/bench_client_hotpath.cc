@@ -26,16 +26,21 @@
 /// mt19937_64 stream seeded with DeriveSeed(seed, user), pinned by the
 /// byte-identical determinism contract. Before this repo's LazyMt64 the
 /// eager engine cost ~2.4us/user in construction plus first twist; the
-/// lazy engine (same bit stream) brings that to ~0.4us for the handful
-/// of draws a client makes, and all three paths here benefit from it —
-/// the remaining gap between them is pure answer-path work.
+/// lazy engine (same bit stream) brings that to ~0.4us for one lone
+/// session, and all three paths here build sessions one at a time, so
+/// the gap between them is pure answer-path work. The `seed` kernel
+/// record measures that floor against lockstep seeding in blocks, which
+/// is how the collector's answer loops build their sessions.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -323,6 +328,8 @@ int Main(int argc, char** argv) {
     json->SetMeta("simd_level", simd::kLevelName);
     json->SetMeta("simd_double_lanes",
                   static_cast<uint64_t>(simd::kDoubleLanes));
+    json->SetMeta("nproc", static_cast<uint64_t>(
+                               std::thread::hardware_concurrency()));
   }
   const double epsilon = args.GetDouble("epsilon", 4.0);
   const dist::Metric metric = dist::Metric::kSed;  // Trace default
@@ -590,13 +597,73 @@ int Main(int argc, char** argv) {
       record("simd", simd, speedup);
     }
   }
+  // Seeding micro-record: the per-user engine seeding every report pays
+  // before its first draw — each engine seeding its own 157-word prefix
+  // lazily (a serial multiply chain) vs ClientFleet's blocks of
+  // kLockstepLanes engines seeded together by LazyMt64::SeedLockstep.
+  // Both build the engine in the same slot and take its first output;
+  // the outputs must equal std::mt19937_64's.
+  const size_t seed_users = scale.users;
+  constexpr size_t kLanes = LazyMt64::kLockstepLanes;
+  std::optional<LazyMt64> lanes[kLanes];
+  std::vector<uint64_t> lazy_first(seed_users), lockstep_first(seed_users);
+  KernelResult lazy_seed =
+      MeasureKernel(seed_users, scale.trials, [&](size_t u) {
+        LazyMt64& engine =
+            lanes[u % kLanes].emplace(DeriveSeed(kSessionSeedBase, u));
+        lazy_first[u] = engine();
+      });
+  KernelResult lockstep_seed =
+      MeasureKernel(seed_users, scale.trials, [&](size_t u) {
+        if (u % kLanes == 0) {
+          size_t count = std::min(kLanes, seed_users - u);
+          LazyMt64* block[kLanes];
+          for (size_t j = 0; j < count; ++j) {
+            block[j] = &lanes[j].emplace(DeriveSeed(kSessionSeedBase, u + j));
+          }
+          if (!LazyMt64::SeedLockstep(block, count).ok()) return;
+        }
+        lockstep_first[u] = (*lanes[u % kLanes])();
+      });
+  bool seed_identical = lazy_first == lockstep_first;
+  for (size_t u = 0; u < seed_users && seed_identical; u += 97) {
+    seed_identical = std::mt19937_64(DeriveSeed(kSessionSeedBase, u))() ==
+                     lockstep_first[u];
+  }
+  all_identical = all_identical && seed_identical;
+  double seed_speedup =
+      lazy_seed.rate > 0 ? lockstep_seed.rate / lazy_seed.rate : 0.0;
+  auto ns_per_user = [](const KernelResult& r) {
+    return r.rate > 0 ? 1e9 / r.rate : 0.0;
+  };
+  bench::PrintRow({"seed", "lazy", FormatDouble(lazy_seed.rate, 6),
+                   FormatDouble(lazy_seed.seconds, 4), "1.000"});
+  bench::PrintRow({"seed", "lockstep", FormatDouble(lockstep_seed.rate, 6),
+                   FormatDouble(lockstep_seed.seconds, 4),
+                   FormatDouble(seed_speedup, 3)});
+  if (json != nullptr) {
+    auto record = [&](const char* path, const KernelResult& r, double s) {
+      json->AddRecord("hotpath_kernel",
+                      {{"kernel", "seed"},
+                       {"path", path},
+                       {"ops", std::to_string(seed_users)}},
+                      {{"ops_per_sec", r.rate},
+                       {"seconds", r.seconds},
+                       {"ns_per_user", ns_per_user(r)},
+                       {"speedup_vs_lazy", s}});
+    };
+    record("lazy", lazy_seed, 1.0);
+    record("lockstep", lockstep_seed, seed_speedup);
+  }
+
   // Keep `sink` observable without polluting the tables.
   volatile double sink_guard = sink;
   (void)sink_guard;
 
   if (!all_identical) {
     bench::PrintTitle(
-        "FAIL: the three answer paths emitted different report bytes");
+        "FAIL: the answer paths emitted different report bytes, or "
+        "lockstep seeding changed an engine's stream");
     return 1;
   }
   if (simd::kLevel > 0 && best_kernel_speedup < 2.0) {

@@ -50,6 +50,30 @@ proto::ClientSession ClientFleet::MakeSession(size_t user) const {
                               DeriveSeed(seed_, user), LabelFor(user));
 }
 
+void ClientFleet::MakeSessions(
+    Span<const size_t> users,
+    std::vector<proto::ClientSession>* block) const {
+  if (users.size() > kSessionBlock) {
+    PS_LOG(kError) << "MakeSessions: " << users.size()
+                   << " users for a block of " << kSessionBlock;
+    std::abort();
+  }
+  block->clear();
+  block->reserve(kSessionBlock);
+  for (size_t user : users) {
+    block->emplace_back(word_fn_(user), metric_, DeriveSeed(seed_, user),
+                        LabelFor(user));
+  }
+  // Fresh sessions always satisfy SeedEngines' precondition; a failure
+  // here is a broken invariant, not an input error.
+  Status seeded = proto::ClientSession::SeedEngines(block->data(),
+                                                    block->size());
+  if (!seeded.ok()) {
+    PS_LOG(kError) << "MakeSessions: " << seeded.ToString();
+    std::abort();
+  }
+}
+
 std::vector<Sequence> ClientFleet::MaterializeWords() const {
   std::vector<Sequence> words;
   words.reserve(num_users_);

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/span.h"
 #include "common/status.h"
 #include "core/config.h"
 #include "distance/distance.h"
@@ -80,6 +82,18 @@ class ClientFleet {
   /// caller drives exactly one Answer* call on it (each user belongs to
   /// one round's population).
   proto::ClientSession MakeSession(size_t user) const;
+
+  /// Sessions one MakeSessions call builds: one lockstep seeding block.
+  static constexpr size_t kSessionBlock = LazyMt64::kLockstepLanes;
+
+  /// Materializes the sessions of `users` (at most kSessionBlock) into
+  /// *block, replacing its contents: (*block)[i] is exactly
+  /// MakeSession(users[i]), with the block's engines seeded in lockstep
+  /// (proto::ClientSession::SeedEngines). Both answer loops, the
+  /// RoundCoordinator's stripes and RunLoadgen's connections, build their
+  /// sessions through this; reuse `block` so its storage is kept.
+  void MakeSessions(Span<const size_t> users,
+                    std::vector<proto::ClientSession>* block) const;
 
   /// User u's word alone (used by the determinism check, which feeds the
   /// same words to the single-threaded core pipeline).

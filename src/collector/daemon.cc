@@ -524,7 +524,7 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
 
   size_t num_shards = EffectiveShards();
   size_t num_drainers = std::min(EffectiveDrainers(), num_shards);
-  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}};
+  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}, 0};
   DaemonInstruments::Get().current_round->Set(
       static_cast<int64_t>(current_round_));
   // Per-BATCH ingest latency, shared by the drainers (relaxed atomics);

@@ -33,6 +33,7 @@ struct ConnOutcome {
   size_t rounds = 0;
   size_t reports_sent = 0;
   size_t client_errors = 0;
+  size_t distinct_words = 0;
   size_t bytes_up = 0;
   size_t bytes_down = 0;
   /// (stage name, RoundBegin->RoundDone nanoseconds) per served round.
@@ -201,20 +202,30 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
     auto ctx = ContextFor(*round, fleet.metric());
     if (!ctx.ok()) return ctx.status();
 
-    // Same zero-allocation answer path as the in-process stripes: one
-    // scratch and one flat batch buffer reused across the assignment.
+    // Same answer path as the in-process stripes: one scratch (with its
+    // per-word memo) and one flat batch buffer reused across the
+    // assignment, sessions built a lockstep-seeded block at a time.
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
+    std::vector<proto::ClientSession> block;
+    size_t ids[ClientFleet::kSessionBlock];
     size_t errors = 0;
-    for (uint64_t user : round->users) {
-      if (user >= fleet.num_users()) {
-        return Status::Internal("assigned out-of-range user " +
-                                std::to_string(user));
+    const std::vector<uint64_t>& users = round->users;
+    for (size_t i = 0; i < users.size(); ++i) {
+      size_t in_block = i % ClientFleet::kSessionBlock;
+      if (in_block == 0) {
+        size_t count = std::min(ClientFleet::kSessionBlock, users.size() - i);
+        for (size_t j = 0; j < count; ++j) {
+          if (users[i + j] >= fleet.num_users()) {
+            return Status::Internal("assigned out-of-range user " +
+                                    std::to_string(users[i + j]));
+          }
+          ids[j] = static_cast<size_t>(users[i + j]);
+        }
+        fleet.MakeSessions(Span<const size_t>(ids, count), &block);
       }
-      proto::ClientSession session =
-          fleet.MakeSession(static_cast<size_t>(user));
-      Status answered = session.AnswerTo(*ctx, &scratch, &batch);
+      Status answered = block[in_block].AnswerTo(*ctx, &scratch, &batch);
       if (!answered.ok()) {
         ++errors;
         continue;
@@ -247,6 +258,7 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
     outcome.round_latency.emplace_back(std::move(stage),
                                        NowNs() - round_start_ns);
     outcome.client_errors += errors;
+    outcome.distinct_words += scratch.distinct_words;
     ++outcome.rounds;
   }
 }
@@ -314,6 +326,7 @@ Result<LoadgenOutcome> RunLoadgen(const ClientFleet& fleet,
     total.rounds = std::max(total.rounds, outcome.rounds);
     total.reports_sent += outcome.reports_sent;
     total.client_errors += outcome.client_errors;
+    total.distinct_words += outcome.distinct_words;
     total.bytes_up += outcome.bytes_up;
     total.bytes_down += outcome.bytes_down;
   }

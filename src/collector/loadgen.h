@@ -54,6 +54,9 @@ struct LoadgenOutcome {
   size_t rounds = 0;        ///< rounds served by the busiest connection
   size_t reports_sent = 0;  ///< encoded reports uploaded, all connections
   size_t client_errors = 0; ///< sessions that failed to answer
+  /// Word-dependent answers computed, summed over connections and rounds
+  /// (each connection answers a word once per round; proto::AnswerMemo).
+  size_t distinct_words = 0;
   size_t bytes_up = 0;      ///< frame bytes written (all connections)
   size_t bytes_down = 0;    ///< frame bytes read (all connections)
   /// Per-stage latency distributions, in protocol order.

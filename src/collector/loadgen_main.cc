@@ -186,6 +186,7 @@ int Main(int argc, char** argv) {
     doc.Set("rounds", JsonValue::Uint(outcome->rounds));
     doc.Set("reports_sent", JsonValue::Uint(outcome->reports_sent));
     doc.Set("client_errors", JsonValue::Uint(outcome->client_errors));
+    doc.Set("distinct_words", JsonValue::Uint(outcome->distinct_words));
     doc.Set("bytes_up", JsonValue::Uint(outcome->bytes_up));
     doc.Set("bytes_down", JsonValue::Uint(outcome->bytes_down));
     JsonValue stages = JsonValue::Array();

@@ -83,6 +83,7 @@ JsonValue CollectorMetrics::ToJson() const {
     stage.Set("accepted", JsonValue::Uint(round.accepted));
     stage.Set("rejected", JsonValue::Uint(round.rejected));
     stage.Set("client_errors", JsonValue::Uint(round.client_errors));
+    stage.Set("distinct_words", JsonValue::Uint(round.distinct_words));
     stage.Set("bytes_up", JsonValue::Uint(round.bytes_up));
     stage.Set("bytes_down", JsonValue::Uint(round.bytes_down));
     stage.Set("seconds", JsonValue::Num(round.seconds));

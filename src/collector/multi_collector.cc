@@ -77,6 +77,7 @@ Result<core::MechanismResult> MultiCollector::Collect(
       // Same spec by construction, so Merge cannot fail.
       (void)merged.agg.Merge(outcomes[c]->agg);
       merged.client_errors += outcomes[c]->client_errors;
+      merged.distinct_words += outcomes[c]->distinct_words;
       merged.ingest_latency.Merge(outcomes[c]->ingest_latency);
     }
     return merged;

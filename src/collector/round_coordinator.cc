@@ -100,6 +100,7 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
     stats.accepted = outcome.agg.accepted();
     stats.rejected = outcome.agg.rejected();
     stats.client_errors = outcome.client_errors;
+    stats.distinct_words = outcome.distinct_words;
     stats.bytes_up = outcome.agg.bytes_ingested();
     stats.bytes_down = encoded_request.size() * population.size();
     stats.seconds = seconds;
@@ -149,8 +150,9 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
                                         const AnswerFn& answer) const {
   size_t num_shards = EffectiveShards();
   size_t batch_size = options_.batch_size > 0 ? options_.batch_size : 1;
-  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}};
+  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}, 0};
   std::atomic<size_t> client_errors{0};
+  std::atomic<size_t> distinct_words{0};
   // One live histogram per round, shared by every ingesting thread
   // (Record is relaxed atomics — per-BATCH, never per-report, so the
   // zero-allocation report path stays untouched). Snapshotted into the
@@ -166,21 +168,29 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     size_t begin = n * shard / num_shards;
     size_t end = n * (shard + 1) / num_shards;
     size_t errors = 0;
-    // One scratch per stripe: the answer path reuses its DP rows and
-    // score buffers across every user of the stripe, and reports encode
-    // into the batch's flat buffer — no per-report allocation.
+    // One scratch per stripe: the answer path reuses its DP rows, score
+    // buffers and per-word memo across every user of the stripe, and
+    // reports encode into the batch's flat buffer — no per-report
+    // allocation. Sessions are built a lockstep-seeded block at a time.
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
+    std::vector<proto::ClientSession> block;
     for (size_t i = begin; i < end; ++i) {
       // Graceful shutdown: stop producing new reports mid-stripe. The
       // already-emitted batches drain normally, so the partial round's
       // accounting stays exact; DriveProtocol turns the flag into a
       // Cancelled status before any server-side decision.
       if (ShutdownRequested()) break;
+      size_t in_block = (i - begin) % ClientFleet::kSessionBlock;
+      if (in_block == 0) {
+        fleet.MakeSessions(
+            Span<const size_t>(population.data() + i,
+                               std::min(ClientFleet::kSessionBlock, end - i)),
+            &block);
+      }
       size_t user = population[i];
-      proto::ClientSession session = fleet.MakeSession(user);
-      Status answered = answer(session, user, scratch, batch);
+      Status answered = answer(block[in_block], user, scratch, batch);
       if (!answered.ok()) {
         ++errors;
         continue;
@@ -193,6 +203,7 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     }
     if (!batch.empty()) emit_batch(shard, std::move(batch));
     client_errors.fetch_add(errors);
+    distinct_words.fetch_add(scratch.distinct_words);
   };
 
   auto for_each_shard = [&](const std::function<void(size_t)>& body) {
@@ -283,6 +294,7 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
   }
 
   outcome.client_errors = client_errors.load();
+  outcome.distinct_words = distinct_words.load();
   outcome.ingest_latency = ingest_hist->Snapshot();
   return outcome;
 }

@@ -56,6 +56,10 @@ struct RoundOutcome {
   /// returned by value and merged across collection sites; the runner's
   /// live Histogram never leaves its round.
   telemetry::HistogramSnapshot ingest_latency;
+  /// Word-dependent answers computed (AnswerScratch::distinct_words),
+  /// summed over the round's workers: the distinct words each worker
+  /// answered. 0 where clients answer remotely (the socket daemon).
+  size_t distinct_words = 0;
 };
 
 /// Executes one collection round over `population` for stage `spec`:

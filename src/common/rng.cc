@@ -4,7 +4,7 @@
 
 namespace privshape {
 
-size_t Rng::Discrete(const std::vector<double>& weights) {
+size_t Rng::Discrete(Span<const double> weights) {
   if (weights.empty()) return 0;
   double total = 0.0;
   for (double w : weights) total += (w > 0 ? w : 0.0);

@@ -53,7 +53,16 @@ Result<size_t> ExponentialMechanism::Select(
     const std::vector<double>& scores, Rng* rng,
     std::vector<double>* probs_scratch) const {
   PRIVSHAPE_RETURN_IF_ERROR(SelectionProbabilitiesInto(scores, probs_scratch));
-  return rng->Discrete(*probs_scratch);
+  return SelectFromProbabilities(*probs_scratch, rng);
+}
+
+PS_RNG_CANONICAL
+Result<size_t> ExponentialMechanism::SelectFromProbabilities(
+    Span<const double> probs, Rng* rng) const {
+  if (probs.empty()) {
+    return Status::InvalidArgument("empty candidate set");
+  }
+  return rng->Discrete(probs);
 }
 
 std::vector<double> ScoresFromDistances(const std::vector<double>& distances) {

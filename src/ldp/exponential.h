@@ -5,6 +5,7 @@
 
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
+#include "common/span.h"
 #include "common/status.h"
 
 namespace privshape::ldp {
@@ -32,6 +33,14 @@ class ExponentialMechanism {
   PS_RNG_CANONICAL
   Result<size_t> Select(const std::vector<double>& scores, Rng* rng,
                         std::vector<double>* probs_scratch) const;
+
+  /// The one EM draw: samples an index from probabilities already built by
+  /// SelectionProbabilitiesInto. Select() is exactly "probabilities, then
+  /// this", so a caller that reuses the probabilities of an identical
+  /// score vector draws the same index from the same Rng state.
+  PS_RNG_CANONICAL
+  Result<size_t> SelectFromProbabilities(Span<const double> probs,
+                                         Rng* rng) const;
 
   /// The exact selection distribution; exercised by the privacy tests
   /// (verifying Pr ratios across neighboring score vectors <= e^eps).

@@ -1,6 +1,7 @@
 #include "protocol/round_context.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -8,6 +9,99 @@
 #include "ldp/unary_encoding.h"
 
 namespace privshape::proto {
+
+namespace {
+
+std::atomic<uint64_t> next_context_serial{1};
+
+constexpr size_t kSlotBits = 12;
+static_assert(AnswerMemo::kSlots == size_t{1} << kSlotBits,
+              "slot count must match the slot-index width");
+
+size_t SlotOf(uint64_t hash) {
+  // Fibonacci hashing: the top bits of the product mix every input bit.
+  return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                             (64 - kSlotBits));
+}
+
+/// Grows `v` to hold `need` elements without passing `cap` (std::vector's
+/// own doubling could overshoot the memo's byte bound).
+template <typename T>
+void ReserveCapped(std::vector<T>* v, size_t need, size_t cap) {
+  if (need <= v->capacity()) return;
+  v->reserve(std::min(std::max(need, 2 * v->capacity()), cap));
+}
+
+}  // namespace
+
+void AnswerMemo::Bind(uint64_t serial) {
+  if (serial == serial_) return;
+  serial_ = serial;
+  if (slots_.empty()) {
+    slots_.assign(kSlots, 0);
+  } else if (!entries_.empty()) {
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+  entries_.clear();
+  symbols_.clear();
+  values_.clear();
+}
+
+const AnswerMemo::Entry* AnswerMemo::Find(const Sequence& word,
+                                          uint64_t hash) const {
+  if (entries_.empty()) return nullptr;
+  for (size_t i = SlotOf(hash);; i = (i + 1) & (kSlots - 1)) {
+    uint32_t slot = slots_[i];
+    if (slot == 0) return nullptr;
+    const Entry& entry = entries_[slot - 1];
+    if (entry.hash == hash && entry.word_size == word.size() &&
+        std::equal(word.begin(), word.end(),
+                   symbols_.begin() + entry.word_begin)) {
+      return &entry;
+    }
+  }
+}
+
+bool AnswerMemo::Insert(const Sequence& word, uint64_t hash,
+                        Span<const double> values, size_t index) {
+  if (slots_.empty() || entries_.size() >= kMaxEntries ||
+      symbols_.size() + word.size() > kMaxSymbols ||
+      values_.size() + values.size() > kMaxValues) {
+    return false;
+  }
+  Entry entry;
+  entry.hash = hash;
+  entry.word_begin = static_cast<uint32_t>(symbols_.size());
+  entry.word_size = static_cast<uint32_t>(word.size());
+  entry.values_begin = static_cast<uint32_t>(values_.size());
+  entry.values_size = static_cast<uint32_t>(values.size());
+  entry.index = index;
+  ReserveCapped(&entries_, entries_.size() + 1, kMaxEntries);
+  ReserveCapped(&symbols_, symbols_.size() + word.size(), kMaxSymbols);
+  ReserveCapped(&values_, values_.size() + values.size(), kMaxValues);
+  entries_.push_back(entry);
+  symbols_.insert(symbols_.end(), word.begin(), word.end());
+  values_.insert(values_.end(), values.begin(), values.end());
+  size_t i = SlotOf(hash);
+  while (slots_[i] != 0) i = (i + 1) & (kSlots - 1);
+  slots_[i] = static_cast<uint32_t>(entries_.size());
+  return true;
+}
+
+size_t AnswerMemo::MemoryBytes() const {
+  return slots_.capacity() * sizeof(uint32_t) +
+         entries_.capacity() * sizeof(Entry) +
+         symbols_.capacity() * sizeof(Symbol) +
+         values_.capacity() * sizeof(double);
+}
+
+uint64_t AnswerMemo::Hash(const Sequence& word) {
+  uint64_t h = 0xcbf29ce484222325ULL ^ word.size();  // FNV-1a basis
+  for (Symbol symbol : word) h = (h ^ symbol) * 0x100000001b3ULL;
+  return h;
+}
+
+RoundContext::RoundContext() : serial_(next_context_serial.fetch_add(1)) {}
 
 Result<RoundContext> RoundContext::Length(int ell_low, int ell_high,
                                           double epsilon) {

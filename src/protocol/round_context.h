@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "distance/candidate_table.h"
 #include "distance/distance.h"
@@ -39,17 +40,95 @@ namespace privshape::proto {
 /// candidates x tens of classes — orders of magnitude below this.
 inline constexpr uint64_t kMaxClassRefineCells = 1u << 20;
 
+/// Per-worker memo of the word-dependent half of a client answer: the EM
+/// probabilities of a P_c answer (match -> scores -> probabilities), or
+/// the closest candidate of a P_d/P_e answer. Within one round these
+/// depend only on the word, and PrivShape's input is short SAX words that
+/// repeat (it looks for the *frequent* shapes), so a worker computes them
+/// once per distinct word and every user draws its own randomness against
+/// the cached result.
+///
+/// Key: the exact word, within one RoundContext::serial(). Binding to a
+/// different serial drops every entry, so a scratch reused on a later
+/// round is never served a stale entry, even if the new context sits at
+/// the old one's address. The table is flat (open addressing over entry
+/// indices, symbols and probabilities in two arenas); it holds at most
+/// kMaxEntries words, kMaxSymbols key symbols and kMaxValues
+/// probabilities, so its heap never exceeds kMaxBytes. Past a cap a word
+/// is answered without caching. A hit allocates nothing.
+class AnswerMemo {
+ public:
+  static constexpr size_t kMaxEntries = 2048;
+  static constexpr size_t kMaxSymbols = size_t{1} << 16;
+  static constexpr size_t kMaxValues = size_t{1} << 17;
+
+  struct Entry {
+    uint64_t hash = 0;
+    uint32_t word_begin = 0;  ///< offset into the symbol arena
+    uint32_t word_size = 0;
+    uint32_t values_begin = 0;  ///< offset into the probability arena
+    uint32_t values_size = 0;
+    size_t index = 0;  ///< closest candidate (P_d/P_e entries)
+  };
+
+  /// Twice the entry cap, so the table is at most half full.
+  static constexpr size_t kSlots = 2 * kMaxEntries;
+  static constexpr size_t kMaxBytes = kSlots * sizeof(uint32_t) +
+                                      kMaxEntries * sizeof(Entry) +
+                                      kMaxSymbols * sizeof(Symbol) +
+                                      kMaxValues * sizeof(double);
+
+  /// Keys the memo to the context with `serial`; a different serial than
+  /// the bound one drops every entry (the capacity is kept).
+  void Bind(uint64_t serial);
+
+  /// The entry for `word` (whose Hash is `hash`), or nullptr.
+  const Entry* Find(const Sequence& word, uint64_t hash) const;
+
+  /// Caches `word` -> (`values`, `index`). Returns false, caching nothing,
+  /// when that would pass a cap. `word` must not be cached already.
+  bool Insert(const Sequence& word, uint64_t hash, Span<const double> values,
+              size_t index);
+
+  Span<const double> Values(const Entry& entry) const {
+    return Span<const double>(values_.data() + entry.values_begin,
+                              entry.values_size);
+  }
+
+  /// Words cached for the bound context.
+  size_t size() const { return entries_.size(); }
+
+  /// Heap bytes the memo holds (capacities, not sizes); <= kMaxBytes.
+  size_t MemoryBytes() const;
+
+  static uint64_t Hash(const Sequence& word);
+
+ private:
+  uint64_t serial_ = 0;  ///< 0: bound to no context
+  std::vector<uint32_t> slots_;  ///< entry index + 1; 0 = empty slot
+  std::vector<Entry> entries_;
+  std::vector<Symbol> symbols_;
+  std::vector<double> values_;
+};
+
 /// Reusable per-worker buffers for the zero-allocation answer path: DP
 /// rows for the distance kernel, the distance/score/probability vectors
-/// of the EM selection chain, and the Report the answer is written into.
-/// One instance per worker thread (or per population stripe); never
-/// shared across threads.
+/// of the EM selection chain, the per-word memo, and the Report the
+/// answer is written into. One instance per worker thread (or per
+/// population stripe); never shared across threads. This is simulator
+/// state: a real device answers once and has nothing to share.
 struct AnswerScratch {
   dist::TableScratch table;
   std::vector<double> distances;
   std::vector<double> scores;
   std::vector<double> probs;
   std::vector<uint64_t> words;  ///< raw engine block for batched OUE bits
+  AnswerMemo memo;
+  /// Word-dependent answers computed over this scratch's life (memo
+  /// misses, plus answers past the memo's cap). Both answer loops keep a
+  /// scratch for one round, so it reads as the distinct words one worker
+  /// answered in that round.
+  uint64_t distinct_words = 0;
   Report report;
 };
 
@@ -93,6 +172,11 @@ class RoundContext {
       std::string_view encoded_request, dist::Metric metric);
 
   ReportKind kind() const { return kind_; }
+
+  /// Unique per constructed context in this process (moves keep it): the
+  /// AnswerMemo key, which a new context at a reused address cannot match.
+  uint64_t serial() const { return serial_; }
+
   uint64_t level() const { return level_; }
   double epsilon() const { return epsilon_; }
   const std::vector<Sequence>& candidates() const {
@@ -130,8 +214,9 @@ class RoundContext {
   const dist::SequenceDistance* distance() const { return distance_.get(); }
 
  private:
-  RoundContext() = default;
+  RoundContext();
 
+  uint64_t serial_;
   ReportKind kind_ = ReportKind::kLength;
   uint64_t level_ = 0;
   double epsilon_ = 0.0;

@@ -12,6 +12,57 @@
 
 namespace privshape::proto {
 
+namespace {
+
+// The word-dependent half of an answer. Within one round it depends only
+// on the word, so with a caller's scratch (`memoize`) it is computed once
+// per distinct word and served from AnswerMemo afterwards; the values are
+// identical either way, and the per-user draws that follow are untouched.
+
+/// P_c: match -> scores -> EM selection probabilities.
+Result<Span<const double>> WordProbabilities(const RoundContext& ctx,
+                                             const Sequence& word,
+                                             AnswerScratch* s, bool memoize) {
+  uint64_t hash = 0;
+  if (memoize) {
+    s->memo.Bind(ctx.serial());
+    hash = AnswerMemo::Hash(word);
+    if (const AnswerMemo::Entry* hit = s->memo.Find(word, hash)) {
+      return s->memo.Values(*hit);
+    }
+  }
+  ++s->distinct_words;
+  // Shared matching path: the SoA table kernels produce bit-identical
+  // distance vectors (and hence identical EM draws) to the in-process
+  // core::LocalSelectionRound, which matches through the same table.
+  ctx.table().MatchInto(word, *ctx.distance(), /*prefix_compare=*/true,
+                        &s->table, &s->distances);
+  ldp::ScoresFromDistancesInto(s->distances, &s->scores);
+  PRIVSHAPE_RETURN_IF_ERROR(
+      ctx.em()->SelectionProbabilitiesInto(s->scores, &s->probs));
+  if (memoize) s->memo.Insert(word, hash, s->probs, 0);
+  return Span<const double>(s->probs);
+}
+
+/// P_d / P_e: the closest candidate's index.
+size_t ClosestCandidate(const RoundContext& ctx, const Sequence& word,
+                        AnswerScratch* s, bool memoize) {
+  uint64_t hash = 0;
+  if (memoize) {
+    s->memo.Bind(ctx.serial());
+    hash = AnswerMemo::Hash(word);
+    if (const AnswerMemo::Entry* hit = s->memo.Find(word, hash)) {
+      return hit->index;
+    }
+  }
+  ++s->distinct_words;
+  size_t best = ctx.table().Closest(word, *ctx.distance(), &s->table);
+  if (memoize) s->memo.Insert(word, hash, {}, best);
+  return best;
+}
+
+}  // namespace
+
 // --- Shared-context hot path ---------------------------------------------
 //
 // These four are the one implementation of the user-side answer logic;
@@ -65,13 +116,11 @@ Status ClientSession::AnswerSelection(const RoundContext& ctx,
   }
   AnswerScratch local;
   AnswerScratch* s = scratch != nullptr ? scratch : &local;
-  // Shared matching path: the SoA table kernels produce bit-identical
-  // distance vectors (and hence identical EM draws) to the in-process
-  // core::LocalSelectionRound, which matches through the same table.
-  ctx.table().MatchInto(word_, *ctx.distance(), /*prefix_compare=*/true,
-                        &s->table, &s->distances);
-  ldp::ScoresFromDistancesInto(s->distances, &s->scores);
-  auto pick = ctx.em()->Select(s->scores, &rng_, &s->probs);
+  auto probs = WordProbabilities(ctx, word_, s, scratch != nullptr);
+  if (!probs.ok()) return probs.status();
+  // The one EM draw path: ExponentialMechanism::Select is exactly
+  // "probabilities, then SelectFromProbabilities".
+  auto pick = ctx.em()->SelectFromProbabilities(*probs, &rng_);
   if (!pick.ok()) return pick.status();
   out->kind = ReportKind::kSelection;
   out->level = ctx.level();
@@ -86,8 +135,9 @@ Status ClientSession::AnswerRefinement(const RoundContext& ctx,
   if (ctx.kind() != ReportKind::kRefinement) {
     return Status::InvalidArgument("context is not a refinement round");
   }
-  size_t best_idx = ctx.table().Closest(
-      word_, *ctx.distance(), scratch != nullptr ? &scratch->table : nullptr);
+  AnswerScratch local;
+  AnswerScratch* s = scratch != nullptr ? scratch : &local;
+  size_t best_idx = ClosestCandidate(ctx, word_, s, scratch != nullptr);
   out->kind = ReportKind::kRefinement;
   out->level = 0;
   out->value = ctx.grr()->PerturbValue(best_idx, &rng_);
@@ -112,8 +162,7 @@ Status ClientSession::AnswerClassRefinement(const RoundContext& ctx,
   }
   AnswerScratch local;
   AnswerScratch* s = scratch != nullptr ? scratch : &local;
-  size_t best_idx =
-      ctx.table().Closest(word_, *ctx.distance(), &s->table);
+  size_t best_idx = ClosestCandidate(ctx, word_, s, scratch != nullptr);
   size_t cell = best_idx * static_cast<size_t>(ctx.num_classes()) +
                 static_cast<size_t>(label_);
   out->kind = ReportKind::kClassRefine;
@@ -152,6 +201,15 @@ Status ClientSession::AnswerTo(const RoundContext& ctx,
   PRIVSHAPE_RETURN_IF_ERROR(Answer(ctx, scratch, report));
   out->Append(*report);
   return Status::Ok();
+}
+
+Status ClientSession::SeedEngines(ClientSession* sessions, size_t n) {
+  if (n > LazyMt64::kLockstepLanes) {
+    return Status::InvalidArgument("SeedEngines: more sessions than lanes");
+  }
+  Rng* rngs[LazyMt64::kLockstepLanes];
+  for (size_t i = 0; i < n; ++i) rngs[i] = &sessions[i].rng_;
+  return Rng::SeedLockstep(rngs, n);
 }
 
 // --- String-decoding wire API (thin wrappers) ----------------------------

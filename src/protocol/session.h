@@ -28,6 +28,10 @@ namespace privshape::proto {
 /// ever leave the device. All privacy-relevant randomness comes from the
 /// client's own Rng.
 ///
+/// With a caller-owned AnswerScratch, the word-dependent part of a P_c,
+/// P_d or P_e answer is memoized per distinct word and round (see
+/// AnswerMemo); the user's own draws are unchanged.
+///
 /// Two entry-point families produce byte-identical reports:
 ///  - the string-decoding AnswerXxxRequest methods (the wire API), which
 ///    rebuild the round state per call, and
@@ -111,6 +115,13 @@ class ClientSession {
   PS_REPORT_PATH
   Status AnswerTo(const RoundContext& ctx, AnswerScratch* scratch,
                   ReportBatch* out);
+
+  /// Seeds the Rng engines of `n` (<= LazyMt64::kLockstepLanes) freshly
+  /// constructed sessions in lockstep (Rng::SeedLockstep). Every session
+  /// keeps exactly the stream it would draw when seeded lazily; this only
+  /// overlaps the seeding work of a block of simulated users. Fails,
+  /// seeding nothing, if any session has already drawn.
+  static Status SeedEngines(ClientSession* sessions, size_t n);
 
  private:
   Sequence word_;

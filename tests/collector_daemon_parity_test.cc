@@ -152,6 +152,73 @@ void RunParityMatrix(bool labeled) {
   }
 }
 
+/// Connection slices of 1, 9 and 17 users (not multiples of the session
+/// block) in the P_e round, where every 11th user is unlabeled and fails
+/// on the device: the daemon's per-round tallies (users, accepted,
+/// rejected, client errors) must equal the in-process coordinator's.
+TEST(CollectorDaemonParityTest, OddConnectionSlicesKeepCoordinatorTallies) {
+  constexpr size_t kFleet = 1000;
+  constexpr size_t kConnections = 2;
+  for (size_t slice : {size_t{1}, size_t{9}, size_t{17}}) {
+    SCOPED_TRACE("slice=" + std::to_string(slice));
+    MechanismConfig config = TestConfig(/*labeled=*/true);
+    // floor(frac_d * kFleet) == kConnections * slice P_e users.
+    config.frac_d = (static_cast<double>(kConnections * slice) + 0.5) /
+                    static_cast<double>(kFleet);
+    ClientFleet fleet(
+        kFleet, [](size_t user) { return PlantedWord(user); }, config.metric,
+        config.seed, [](size_t user) {
+          return user % 11 == 5 ? -1 : PlantedLabel(user);
+        });
+
+    ThreadPool pool(3);
+    collector::RoundCoordinator coordinator(config, {}, &pool);
+    CollectorMetrics want;
+    auto in_process = coordinator.Collect(fleet, &want);
+    ASSERT_TRUE(in_process.ok()) << in_process.status();
+
+    DaemonOptions options;
+    options.port = 0;
+    options.min_clients = kConnections;
+    options.num_shards = 3;
+    options.accept_timeout_seconds = 60.0;
+    options.round_deadline_seconds = 120.0;
+    CollectorDaemon daemon(config, fleet.num_users(), options);
+    ASSERT_TRUE(daemon.Start().ok());
+    Result<core::MechanismResult> served = Status::Internal("serve not run");
+    CollectorMetrics got;
+    std::thread serve([&] { served = daemon.Serve(&got); });
+    LoadgenOptions client;
+    client.port = daemon.port();
+    client.connections = kConnections;
+    client.batch_size = 4;
+    auto outcome = collector::RunLoadgen(fleet, client);
+    serve.join();
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_TRUE(collector::SameShapes(*in_process, *served));
+
+    ASSERT_EQ(got.rounds.size(), want.rounds.size());
+    size_t errors = 0;
+    for (size_t r = 0; r < want.rounds.size(); ++r) {
+      const auto& w = want.rounds[r];
+      const auto& g = got.rounds[r];
+      SCOPED_TRACE(w.stage);
+      EXPECT_EQ(g.stage, w.stage);
+      EXPECT_EQ(g.users, w.users);
+      EXPECT_EQ(g.accepted, w.accepted);
+      EXPECT_EQ(g.rejected, w.rejected);
+      EXPECT_EQ(g.client_errors, w.client_errors);
+      errors += w.client_errors;
+    }
+    EXPECT_EQ(want.rounds.back().stage, "Pe");
+    EXPECT_EQ(want.rounds.back().users, kConnections * slice);
+    EXPECT_EQ(outcome->client_errors, errors);
+    // The loadgen answered word rounds through its per-word memo too.
+    EXPECT_GT(outcome->distinct_words, 0u);
+  }
+}
+
 TEST(CollectorDaemonParityTest, UnlabeledMatchesCoreForAllShardsAndConns) {
   RunParityMatrix(/*labeled=*/false);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -167,6 +168,122 @@ TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
   // Not just totals: the merged per-value counts are identical.
   EXPECT_EQ(streamed.agg.MergedLevel(0).raw_counts(),
             expected.agg.MergedLevel(0).raw_counts());
+}
+
+// --- Block answering: stripes that are not multiples of the block -------
+
+/// Labeled planted fleet where every 11th user is unlabeled, so its P_e
+/// session fails on the device (a client error, never a report).
+ClientFleet GappyLabeledFleet(size_t n, const MechanismConfig& config) {
+  return ClientFleet(
+      n, [](size_t user) { return PlantedWord(user); }, config.metric,
+      config.seed, [](size_t user) {
+        return user % 11 == 5 ? -1 : static_cast<int>(user % 3);
+      });
+}
+
+TEST(StreamingFailureTest, OddStripesKeepExactTalliesForEveryWordRound) {
+  MechanismConfig config = TestConfig();
+  const std::vector<Sequence> candidates = {
+      {0, 1, 2}, {2, 1, 0}, {1, 0, 1}, {1, 1}};
+  std::vector<std::pair<StageSpec, std::shared_ptr<proto::RoundContext>>>
+      rounds;
+  {
+    proto::CandidateRequest request;
+    request.level = 1;
+    request.epsilon = config.epsilon;
+    request.candidates = candidates;
+    auto ctx = proto::RoundContext::Selection(request, config.metric);
+    ASSERT_TRUE(ctx.ok());
+    StageSpec spec;
+    spec.kind = proto::ReportKind::kSelection;
+    spec.domain = candidates.size();
+    spec.epsilon = config.epsilon;
+    spec.min_level = 1;
+    rounds.emplace_back(
+        spec, std::make_shared<proto::RoundContext>(std::move(*ctx)));
+    auto refine = proto::RoundContext::Refinement(request, config.metric);
+    ASSERT_TRUE(refine.ok());
+    spec.kind = proto::ReportKind::kRefinement;
+    spec.min_level = 0;
+    rounds.emplace_back(
+        spec, std::make_shared<proto::RoundContext>(std::move(*refine)));
+    proto::ClassRefineRequest classes;
+    classes.epsilon = config.epsilon;
+    classes.num_classes = 3;
+    classes.candidates = candidates;
+    auto cls = proto::RoundContext::ClassRefinement(classes, config.metric);
+    ASSERT_TRUE(cls.ok());
+    spec.kind = proto::ReportKind::kClassRefine;
+    spec.domain = cls->cells();
+    rounds.emplace_back(
+        spec, std::make_shared<proto::RoundContext>(std::move(*cls)));
+  }
+
+  const size_t kShards = 3;
+  ThreadPool pool(3);
+  for (size_t stripe : {size_t{1}, size_t{9}, size_t{17}}) {
+    // Spread-out user ids, so a block's sessions are not consecutive.
+    std::vector<size_t> population(stripe * kShards);
+    for (size_t i = 0; i < population.size(); ++i) population[i] = 5 * i + 1;
+    ClientFleet fleet = GappyLabeledFleet(5 * population.size() + 1, config);
+    for (const auto& [spec, ctx] : rounds) {
+      SCOPED_TRACE("stripe=" + std::to_string(stripe) +
+                   " kind=" + std::to_string(static_cast<int>(spec.kind)));
+      // The existing mid-stream injection: every 7th user dies before
+      // answering.
+      AnswerFn flaky = [round_ctx = ctx](proto::ClientSession& session,
+                                         size_t user,
+                                         proto::AnswerScratch& scratch,
+                                         proto::ReportBatch& out) {
+        if (user % 7 == 3) return Status::Internal("simulated failure");
+        return session.AnswerTo(*round_ctx, &scratch, &out);
+      };
+      // Reference: one MakeSession and a fresh scratch per user.
+      proto::ReportAggregator want(spec.kind, spec.domain, spec.epsilon);
+      size_t want_errors = 0;
+      size_t want_distinct = 0;
+      for (size_t shard = 0; shard < kShards; ++shard) {
+        std::vector<Sequence> seen;
+        for (size_t i = stripe * shard; i < stripe * (shard + 1); ++i) {
+          size_t user = population[i];
+          proto::ClientSession session = fleet.MakeSession(user);
+          proto::AnswerScratch fresh;
+          proto::ReportBatch batch;
+          if (user % 7 == 3) {
+            ++want_errors;
+            continue;
+          }
+          bool unlabeled = session.label() < 0 &&
+                           spec.kind == proto::ReportKind::kClassRefine;
+          Sequence word = fleet.WordFor(user);
+          if (!unlabeled &&
+              std::find(seen.begin(), seen.end(), word) == seen.end()) {
+            seen.push_back(word);
+          }
+          if (!session.AnswerTo(*ctx, &fresh, &batch).ok()) {
+            ++want_errors;
+            continue;
+          }
+          want.Consume(batch.view(0));
+        }
+        want_distinct += seen.size();
+      }
+      for (bool streaming : {false, true}) {
+        CollectorOptions options;
+        options.streaming = streaming;
+        options.num_shards = kShards;
+        options.batch_size = 4;
+        RoundOutcome got = RoundCoordinator(config, options, &pool)
+                               .RunRound(fleet, population, spec, flaky);
+        EXPECT_EQ(got.client_errors, want_errors);
+        EXPECT_EQ(got.agg.accepted(), want.accepted());
+        EXPECT_EQ(got.agg.rejected(), 0u);
+        EXPECT_EQ(got.agg.MergedLevel(0).raw_counts(), want.raw_counts());
+        EXPECT_EQ(got.distinct_words, want_distinct);
+      }
+    }
+  }
 }
 
 // --- Determinism contract: streaming x multi-collector ------------------

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,6 +50,93 @@ TEST(FillU64Test, InterleavesExactlyWithSingleDraws) {
   uint64_t next_a = a();
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(buf[i], b());
   EXPECT_EQ(next_a, b());
+}
+
+// --- Lockstep seeding ---------------------------------------------------
+
+/// Seeds `n` fresh engines in lockstep, then reads the first 400 outputs
+/// of each (across the 156-output lazy prefix) through operator() for
+/// even engines and through chunked FillU64 calls for odd ones, and
+/// compares every output with std::mt19937_64 on the same seed.
+void ExpectLockstepMatchesStd(size_t n) {
+  std::vector<std::unique_ptr<LazyMt64>> engines;
+  std::vector<LazyMt64*> ptrs;
+  for (size_t i = 0; i < n; ++i) {
+    engines.push_back(std::make_unique<LazyMt64>(DeriveSeed(99, i)));
+    ptrs.push_back(engines.back().get());
+  }
+  ASSERT_TRUE(LazyMt64::SeedLockstep(ptrs.data(), n).ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_FALSE(engines[i]->fresh()) << "engine " << i;
+    std::mt19937_64 reference(DeriveSeed(99, i));
+    std::vector<uint64_t> got(400);
+    if (i % 2 == 0) {
+      for (uint64_t& word : got) word = (*engines[i])();
+    } else {
+      // Chunks of 1, 7, 150 (crossing output 156 mid-call) and the rest.
+      engines[i]->FillU64(got.data(), 1);
+      engines[i]->FillU64(got.data() + 1, 7);
+      engines[i]->FillU64(got.data() + 8, 150);
+      engines[i]->FillU64(got.data() + 158, got.size() - 158);
+    }
+    for (size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k], reference()) << "engine " << i << " output " << k;
+    }
+  }
+}
+
+TEST(LockstepSeedTest, MatchesStdMt19937_64ForEveryBlockSize) {
+  for (size_t n : {0, 1, 7, 8, 9, 17}) {
+    SCOPED_TRACE("block size " + std::to_string(n));
+    ExpectLockstepMatchesStd(n);
+  }
+}
+
+TEST(LockstepSeedTest, EngineThatDrewIsNeverReseeded) {
+  LazyMt64 fresh_a(5), drawn(6), fresh_b(7);
+  std::mt19937_64 reference(6);
+  EXPECT_EQ(drawn(), reference());
+  EXPECT_FALSE(drawn.fresh());
+  LazyMt64* block[] = {&fresh_a, &drawn, &fresh_b};
+  Status seeded = LazyMt64::SeedLockstep(block, 3);
+  EXPECT_EQ(seeded.code(), StatusCode::kFailedPrecondition);
+  // Nothing in the block was touched: the fresh engines are still fresh
+  // and the drawn one continues its own stream.
+  EXPECT_TRUE(fresh_a.fresh());
+  EXPECT_TRUE(fresh_b.fresh());
+  for (int k = 0; k < 200; ++k) ASSERT_EQ(drawn(), reference()) << k;
+
+  // An engine seeded once is not fresh either: a second pass fails.
+  LazyMt64 once(8);
+  LazyMt64* single[] = {&once};
+  ASSERT_TRUE(LazyMt64::SeedLockstep(single, 1).ok());
+  EXPECT_EQ(LazyMt64::SeedLockstep(single, 1).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(LockstepSeedTest, RngAdapterSeedsWholeBlockOrNothing) {
+  std::vector<std::unique_ptr<Rng>> rngs;
+  std::vector<Rng*> ptrs;
+  for (size_t i = 0; i < LazyMt64::kLockstepLanes + 1; ++i) {
+    rngs.push_back(std::make_unique<Rng>(DeriveSeed(3, i)));
+    ptrs.push_back(rngs.back().get());
+  }
+  // One block at most.
+  EXPECT_EQ(Rng::SeedLockstep(ptrs.data(), ptrs.size()).code(),
+            StatusCode::kInvalidArgument);
+  (void)rngs[5]->engine()();
+  EXPECT_EQ(Rng::SeedLockstep(ptrs.data(), 8).code(),
+            StatusCode::kFailedPrecondition);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(rngs[i]->engine().fresh(), i != 5) << i;
+  }
+  ASSERT_TRUE(Rng::SeedLockstep(ptrs.data(), 5).ok());
+  for (size_t i = 0; i < 5; ++i) {
+    std::mt19937_64 reference(DeriveSeed(3, i));
+    uint64_t word = 0;
+    rngs[i]->FillU64(&word, 1);
+    EXPECT_EQ(word, reference()) << i;
+  }
 }
 
 TEST(ThresholdForProbabilityTest, EdgesAndMonotonicity) {
