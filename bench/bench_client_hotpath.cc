@@ -259,6 +259,112 @@ PathResult RunContextPath(const Stage& stage,
   return out;
 }
 
+// --- The per-word memo, on and off -------------------------------------
+//
+// The context path computes the word-dependent half of a P_c / P_d answer
+// once per distinct word (proto::AnswerMemo). `nomemo` is that path with
+// the memo taken out, spelled out per user as the library answered before
+// it: match -> scores -> EM Select for P_c, closest candidate -> GRR for
+// P_d, drawing from the same per-user stream into the same batch encoding,
+// so its reports must equal the context path's byte for byte. Both run on
+// the tiled pool (heavy repetition, the input PrivShape is built for) and
+// on all-distinct words, where every answer misses the memo and, past its
+// cap, also fails to cache: the memo's worst case.
+
+Status AnswerNoMemo(const proto::RoundContext& ctx, const Sequence& word,
+                    Rng* rng, proto::AnswerScratch* s) {
+  proto::Report& out = s->report;
+  if (ctx.kind() == proto::ReportKind::kSelection) {
+    ctx.table().MatchInto(word, *ctx.distance(), /*prefix_compare=*/true,
+                          &s->table, &s->distances);
+    ldp::ScoresFromDistancesInto(s->distances, &s->scores);
+    auto pick = ctx.em()->Select(s->scores, rng, &s->probs);
+    if (!pick.ok()) return pick.status();
+    out.kind = proto::ReportKind::kSelection;
+    out.level = ctx.level();
+    out.value = *pick;
+  } else {
+    size_t best = ctx.table().Closest(word, *ctx.distance(), &s->table);
+    out.kind = proto::ReportKind::kRefinement;
+    out.level = 0;
+    out.value = ctx.grr()->PerturbValue(best, rng);
+  }
+  out.bits.clear();
+  return Status::Ok();
+}
+
+PathResult RunNoMemoPath(const Stage& stage,
+                         const std::vector<Sequence>& words, size_t users) {
+  PathResult out;
+  proto::AnswerScratch scratch;
+  proto::ReportBatch batch;
+  batch.Reserve(256);
+  double start = Now();
+  for (size_t u = 0; u < users; ++u) {
+    // The same per-user setup a session costs: a word copy and an engine.
+    Sequence word = words[u % words.size()];
+    Rng rng(DeriveSeed(kSessionSeedBase, u));
+    if (AnswerNoMemo(stage.context, word, &rng, &scratch).ok()) {
+      batch.Append(scratch.report);
+    }
+    if (batch.size() >= 256) {
+      out.bytes += batch.bytes();
+      batch.Clear();
+    }
+  }
+  out.bytes += batch.bytes();
+  out.seconds = Now() - start;
+  out.rate = out.seconds > 0 ? static_cast<double>(users) / out.seconds : 0;
+  return out;
+}
+
+/// Byte-identity check of the memo: one reused scratch (memo on) against
+/// `nomemo` for the first `sample` users, which should pass the memo's
+/// cap on the all-distinct population.
+bool MemoAgrees(const Stage& stage, const std::vector<Sequence>& words,
+                dist::Metric metric, size_t sample) {
+  proto::AnswerScratch memo_scratch, plain_scratch;
+  for (size_t u = 0; u < sample; ++u) {
+    proto::ClientSession session = SessionFor(words, u, metric);
+    proto::ReportBatch memoized, plain;
+    Status answered = session.AnswerTo(stage.context, &memo_scratch,
+                                       &memoized);
+    Rng rng(DeriveSeed(kSessionSeedBase, u));
+    Status reference = AnswerNoMemo(stage.context, words[u % words.size()],
+                                    &rng, &plain_scratch);
+    if (answered.ok() != reference.ok()) return false;
+    if (!answered.ok()) continue;
+    plain.Append(plain_scratch.report);
+    if (memoized.size() != 1 || memoized.view(0) != plain.view(0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `count` distinct words over the t=4 alphabet, 10 symbols long with no
+/// symbol repeated back to back (as Compressive SAX emits them): word u
+/// spells u in a mixed radix of 4 then 3 (the 3 symbols that differ from
+/// the previous one). 4 * 3^9 = 78732 words before they wrap.
+std::vector<Sequence> DistinctWords(size_t count) {
+  constexpr size_t kLength = 10;
+  std::vector<Sequence> out;
+  out.reserve(count);
+  for (size_t u = 0; u < count; ++u) {
+    size_t rest = u;
+    Sequence word;
+    word.push_back(static_cast<Symbol>(rest % 4));
+    rest /= 4;
+    for (size_t i = 1; i < kLength; ++i) {
+      Symbol step = static_cast<Symbol>(1 + rest % 3);
+      rest /= 3;
+      word.push_back(static_cast<Symbol>((word.back() + step) % 4));
+    }
+    out.push_back(std::move(word));
+  }
+  return out;
+}
+
 // --- Per-kernel micro-records ------------------------------------------
 //
 // The stage benchmarks above measure whole reports; these isolate the
@@ -471,6 +577,52 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // Memo on (the context path) vs off, on repeated and on all-distinct
+  // words, for the two stages the memo serves.
+  bench::PrintTitle("Per-word memo, on vs off (" +
+                    std::to_string(scale.users) + " reports/stage)");
+  bench::PrintHeader({"stage", "words", "memo on/s", "memo off/s",
+                      "on/off", "identical"});
+  const std::vector<Sequence> distinct = DistinctWords(scale.users);
+  for (const Stage& stage : stages) {
+    if (stage.name != "Pc" && stage.name != "Pd") continue;
+    for (bool all_distinct : {false, true}) {
+      const std::vector<Sequence>& pool = all_distinct ? distinct : words;
+      bool identical = MemoAgrees(stage, pool, metric, /*sample=*/3000);
+      all_identical = all_identical && identical;
+      PathResult on, off;
+      for (int trial = 0; trial < std::max(scale.trials, 1); ++trial) {
+        PathResult c = RunContextPath(stage, pool, scale.users, metric);
+        PathResult n = RunNoMemoPath(stage, pool, scale.users);
+        if (c.rate > on.rate) on = c;
+        if (n.rate > off.rate) off = n;
+      }
+      double gain = off.rate > 0 ? on.rate / off.rate : 0.0;
+      const char* label = all_distinct ? "distinct" : "tiled";
+      bench::PrintRow({stage.name, label, FormatDouble(on.rate, 6),
+                       FormatDouble(off.rate, 6), FormatDouble(gain, 3),
+                       identical ? "yes" : "NO"});
+      if (json == nullptr) continue;
+      auto record = [&](const char* path, const PathResult& p, double s) {
+        std::vector<std::pair<std::string, std::string>> params = {
+            {"stage", stage.name},
+            {"path", path},
+            {"users", std::to_string(scale.users)},
+            {"metric", dist::MetricName(metric)}};
+        // The tiled context record is the stage loop's; the distinct
+        // population is told apart by its own parameter.
+        if (all_distinct) params.emplace_back("words", "distinct");
+        json->AddRecord("client_hotpath", params,
+                        {{"reports_per_sec", p.rate},
+                         {"seconds", p.seconds},
+                         {"speedup_vs_nomemo", s},
+                         {"bytes_up", static_cast<double>(p.bytes)}});
+      };
+      if (all_distinct) record("context", on, gain);
+      record("nomemo", off, 1.0);
+    }
+  }
+
   // Kernel micro-records. `sink` folds every result into a value the
   // optimizer must keep, so the measured loops cannot be dead-code
   // eliminated.
@@ -621,7 +773,8 @@ int Main(int argc, char** argv) {
           for (size_t j = 0; j < count; ++j) {
             block[j] = &lanes[j].emplace(DeriveSeed(kSessionSeedBase, u + j));
           }
-          if (!LazyMt64::SeedLockstep(block, count).ok()) return;
+          auto engine_at = [&block](size_t j) { return block[j]; };
+          if (!LazyMt64::SeedLockstep(count, engine_at).ok()) return;
         }
         lockstep_first[u] = (*lanes[u % kLanes])();
       });

@@ -8,6 +8,7 @@
 #ifndef PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 #define PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,6 +74,9 @@ class ClientFleet {
   dist::Metric metric() const { return metric_; }
   uint64_t seed() const { return seed_; }
 
+  /// Sessions ForEachSession builds at once: one lockstep seeding block.
+  static constexpr size_t kSessionBlock = LazyMt64::kLockstepLanes;
+
   /// True when the fleet carries per-user labels (classification can be
   /// served over the wire).
   bool labeled() const { return label_fn_ != nullptr; }
@@ -83,17 +87,27 @@ class ClientFleet {
   /// one round's population).
   proto::ClientSession MakeSession(size_t user) const;
 
-  /// Sessions one MakeSessions call builds: one lockstep seeding block.
-  static constexpr size_t kSessionBlock = LazyMt64::kLockstepLanes;
-
-  /// Materializes the sessions of `users` (at most kSessionBlock) into
-  /// *block, replacing its contents: (*block)[i] is exactly
-  /// MakeSession(users[i]), with the block's engines seeded in lockstep
-  /// (proto::ClientSession::SeedEngines). Both answer loops, the
-  /// RoundCoordinator's stripes and RunLoadgen's connections, build their
-  /// sessions through this; reuse `block` so its storage is kept.
-  void MakeSessions(Span<const size_t> users,
-                    std::vector<proto::ClientSession>* block) const;
+  /// Calls fn(user, session) for every user of `users` in order, where
+  /// `session` is exactly MakeSession(user); stops early once fn returns
+  /// false. Sessions are built kSessionBlock at a time with their engines
+  /// seeded in lockstep (proto::ClientSession::SeedEngines). Both answer
+  /// loops, the RoundCoordinator's stripes and RunLoadgen's connections,
+  /// answer through this. Every user must be < num_users().
+  template <typename User, typename Fn>
+  void ForEachSession(Span<const User> users, Fn&& fn) const {
+    std::vector<proto::ClientSession> block;
+    size_t ids[kSessionBlock];
+    for (size_t begin = 0; begin < users.size(); begin += kSessionBlock) {
+      size_t count = std::min(kSessionBlock, users.size() - begin);
+      for (size_t j = 0; j < count; ++j) {
+        ids[j] = static_cast<size_t>(users[begin + j]);
+      }
+      MakeSessions(Span<const size_t>(ids, count), &block);
+      for (size_t j = 0; j < count; ++j) {
+        if (!fn(ids[j], block[j])) return;
+      }
+    }
+  }
 
   /// User u's word alone (used by the determinism check, which feeds the
   /// same words to the single-threaded core pipeline).
@@ -111,6 +125,11 @@ class ClientFleet {
   std::vector<int> MaterializeLabels() const;
 
  private:
+  /// Replaces *block with the sessions of `users` (at most
+  /// kSessionBlock), seeded in lockstep.
+  void MakeSessions(Span<const size_t> users,
+                    std::vector<proto::ClientSession>* block) const;
+
   size_t num_users_;
   WordFn word_fn_;
   LabelFn label_fn_;

@@ -205,41 +205,37 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
     // Same answer path as the in-process stripes: one scratch (with its
     // per-word memo) and one flat batch buffer reused across the
     // assignment, sessions built a lockstep-seeded block at a time.
+    for (uint64_t user : round->users) {
+      if (user >= fleet.num_users()) {
+        return Status::Internal("assigned out-of-range user " +
+                                std::to_string(user));
+      }
+    }
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
-    std::vector<proto::ClientSession> block;
-    size_t ids[ClientFleet::kSessionBlock];
     size_t errors = 0;
-    const std::vector<uint64_t>& users = round->users;
-    for (size_t i = 0; i < users.size(); ++i) {
-      size_t in_block = i % ClientFleet::kSessionBlock;
-      if (in_block == 0) {
-        size_t count = std::min(ClientFleet::kSessionBlock, users.size() - i);
-        for (size_t j = 0; j < count; ++j) {
-          if (users[i + j] >= fleet.num_users()) {
-            return Status::Internal("assigned out-of-range user " +
-                                    std::to_string(users[i + j]));
+    Status sent = Status::Ok();
+    fleet.ForEachSession(
+        Span<const uint64_t>(round->users),
+        [&](size_t, proto::ClientSession& session) {
+          Status answered = session.AnswerTo(*ctx, &scratch, &batch);
+          if (!answered.ok()) {
+            ++errors;
+            return true;
           }
-          ids[j] = static_cast<size_t>(users[i + j]);
-        }
-        fleet.MakeSessions(Span<const size_t>(ids, count), &block);
-      }
-      Status answered = block[in_block].AnswerTo(*ctx, &scratch, &batch);
-      if (!answered.ok()) {
-        ++errors;
-        continue;
-      }
-      if (batch.size() >= batch_size) {
-        outcome.reports_sent += batch.size();
-        PRIVSHAPE_RETURN_IF_ERROR(
-            SendFrame(fd.get(), net::MsgType::kBatchUpload,
-                      net::EncodeBatchUpload(round->round_id, batch),
-                      &outcome.bytes_up));
-        batch = proto::ReportBatch();
-        batch.Reserve(batch_size);
-      }
-    }
+          if (batch.size() >= batch_size) {
+            outcome.reports_sent += batch.size();
+            sent = SendFrame(fd.get(), net::MsgType::kBatchUpload,
+                             net::EncodeBatchUpload(round->round_id, batch),
+                             &outcome.bytes_up);
+            if (!sent.ok()) return false;
+            batch = proto::ReportBatch();
+            batch.Reserve(batch_size);
+          }
+          return true;
+        });
+    PRIVSHAPE_RETURN_IF_ERROR(sent);
     if (!batch.empty()) {
       outcome.reports_sent += batch.size();
       PRIVSHAPE_RETURN_IF_ERROR(

@@ -55,7 +55,8 @@ struct LoadgenOutcome {
   size_t reports_sent = 0;  ///< encoded reports uploaded, all connections
   size_t client_errors = 0; ///< sessions that failed to answer
   /// Word-dependent answers computed, summed over connections and rounds
-  /// (each connection answers a word once per round; proto::AnswerMemo).
+  /// (once per cached word, once per user for words proto::AnswerMemo
+  /// did not cache).
   size_t distinct_words = 0;
   size_t bytes_up = 0;      ///< frame bytes written (all connections)
   size_t bytes_down = 0;    ///< frame bytes read (all connections)

@@ -17,9 +17,11 @@ struct RoundStats {
   size_t accepted = 0;       ///< reports that passed validation
   size_t rejected = 0;       ///< malformed / wrong-kind / out-of-window
   size_t client_errors = 0;  ///< sessions that failed to answer at all
-  /// Word-dependent answers computed, summed over workers (each worker
-  /// answers a word once per round; see proto::AnswerMemo). 0 for P_a/P_b,
-  /// whose answers have no word-dependent part, and for socket rounds.
+  /// Word-dependent answers computed, summed over workers: once per
+  /// cached word, once per user for words proto::AnswerMemo did not
+  /// cache (past its cap, or once it turned itself off).
+  /// 0 for P_a/P_b, whose answers have no word-dependent part, and for
+  /// socket rounds.
   size_t distinct_words = 0;
   size_t bytes_up = 0;       ///< report bytes ingested (client -> server)
   size_t bytes_down = 0;     ///< request bytes broadcast (server -> client)

@@ -175,32 +175,26 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
-    std::vector<proto::ClientSession> block;
-    for (size_t i = begin; i < end; ++i) {
-      // Graceful shutdown: stop producing new reports mid-stripe. The
-      // already-emitted batches drain normally, so the partial round's
-      // accounting stays exact; DriveProtocol turns the flag into a
-      // Cancelled status before any server-side decision.
-      if (ShutdownRequested()) break;
-      size_t in_block = (i - begin) % ClientFleet::kSessionBlock;
-      if (in_block == 0) {
-        fleet.MakeSessions(
-            Span<const size_t>(population.data() + i,
-                               std::min(ClientFleet::kSessionBlock, end - i)),
-            &block);
-      }
-      size_t user = population[i];
-      Status answered = answer(block[in_block], user, scratch, batch);
-      if (!answered.ok()) {
-        ++errors;
-        continue;
-      }
-      if (batch.size() >= batch_size) {
-        emit_batch(shard, std::move(batch));
-        batch = proto::ReportBatch();
-        batch.Reserve(batch_size);
-      }
-    }
+    fleet.ForEachSession(
+        Span<const size_t>(population.data() + begin, end - begin),
+        [&](size_t user, proto::ClientSession& session) {
+          // Graceful shutdown: stop producing new reports mid-stripe. The
+          // already-emitted batches drain normally, so the partial
+          // round's accounting stays exact; DriveProtocol turns the flag
+          // into a Cancelled status before any server-side decision.
+          if (ShutdownRequested()) return false;
+          Status answered = answer(session, user, scratch, batch);
+          if (!answered.ok()) {
+            ++errors;
+            return true;
+          }
+          if (batch.size() >= batch_size) {
+            emit_batch(shard, std::move(batch));
+            batch = proto::ReportBatch();
+            batch.Reserve(batch_size);
+          }
+          return true;
+        });
     if (!batch.empty()) emit_batch(shard, std::move(batch));
     client_errors.fetch_add(errors);
     distinct_words.fetch_add(scratch.distinct_words);

@@ -57,8 +57,10 @@ struct RoundOutcome {
   /// live Histogram never leaves its round.
   telemetry::HistogramSnapshot ingest_latency;
   /// Word-dependent answers computed (AnswerScratch::distinct_words),
-  /// summed over the round's workers: the distinct words each worker
-  /// answered. 0 where clients answer remotely (the socket daemon).
+  /// summed over the round's workers: each worker's distinct words while
+  /// its memo has room and is on, one per user after that
+  /// (proto::AnswerMemo). 0 where clients answer remotely (the socket
+  /// daemon).
   size_t distinct_words = 0;
 };
 

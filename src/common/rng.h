@@ -92,25 +92,27 @@ class LazyMt64 {
   /// the precondition of SeedLockstep.
   bool fresh() const { return seeded_ == 1 && pos_ == 0 && !full_; }
 
-  /// Seeds the prefix the first draw needs (words 0..m) of every engine
-  /// in `engines`, kLockstepLanes chains at a time. The words are exactly
-  /// the ones operator() would seed lazily, so every engine's output stream
-  /// is unchanged; later draws seed further words lazily, as before. Fails
+  /// Seeds the prefix the first draw needs (words 0..m) of the `n`
+  /// engines engine_at(0) .. engine_at(n - 1) (each a LazyMt64*),
+  /// kLockstepLanes chains at a time. The words are exactly the ones
+  /// operator() would seed lazily, so every engine's output stream is
+  /// unchanged; later draws seed further words lazily, as before. Fails
   /// with FailedPrecondition, touching no engine, unless every engine is
   /// fresh(): an engine is never re-seeded.
-  static Status SeedLockstep(LazyMt64* const* engines, size_t n) {
+  template <typename EngineAt>
+  static Status SeedLockstep(size_t n, EngineAt&& engine_at) {
     for (size_t i = 0; i < n; ++i) {
-      if (!engines[i]->fresh()) {
+      if (!engine_at(i)->fresh()) {
         return Status::FailedPrecondition(
             "SeedLockstep: engine already seeded or drawn from");
       }
     }
     size_t i = 0;
     for (; i + kLockstepLanes <= n; i += kLockstepLanes) {
-      SeedLanes(engines + i, std::make_index_sequence<kLockstepLanes>());
+      SeedLanes(engine_at, i, std::make_index_sequence<kLockstepLanes>());
     }
     // A partial tail block seeds one engine at a time, as lazily.
-    for (; i < n; ++i) engines[i]->SeedTo(kM + 1);
+    for (; i < n; ++i) engine_at(i)->SeedTo(kM + 1);
     return Status::Ok();
   }
 
@@ -156,9 +158,11 @@ class LazyMt64 {
   /// The seeding recurrence of SeedTo over sizeof...(J) engines at once.
   /// The lanes are unrolled at compile time, so every chain stays in a
   /// register and the independent multiplies overlap.
-  template <size_t... J>
-  static void SeedLanes(LazyMt64* const* engines, std::index_sequence<J...>) {
+  template <typename EngineAt, size_t... J>
+  static void SeedLanes(EngineAt& engine_at, size_t base,
+                        std::index_sequence<J...>) {
     constexpr size_t kPrefix = kM + 1;  // words the first output reads
+    LazyMt64* engines[] = {engine_at(base + J)...};
     uint64_t* state[] = {engines[J]->state_...};
     uint64_t x[] = {state[J][0]...};
     for (size_t w = 1; w < kPrefix; ++w) {
@@ -267,16 +271,12 @@ class Rng {
 
   LazyMt64& engine() { return engine_; }
 
-  /// LazyMt64::SeedLockstep over the engines of `rngs`, one block of at
-  /// most LazyMt64::kLockstepLanes (same contract: every engine must be
-  /// fresh, or nothing is seeded).
-  static Status SeedLockstep(Rng* const* rngs, size_t n) {
-    if (n > LazyMt64::kLockstepLanes) {
-      return Status::InvalidArgument("SeedLockstep: more Rngs than lanes");
-    }
-    LazyMt64* engines[LazyMt64::kLockstepLanes];
-    for (size_t i = 0; i < n; ++i) engines[i] = &rngs[i]->engine_;
-    return LazyMt64::SeedLockstep(engines, n);
+  /// LazyMt64::SeedLockstep over the engines of the `n` Rngs
+  /// rng_at(0) .. rng_at(n - 1) (each an Rng*), with the same contract.
+  template <typename RngAt>
+  static Status SeedLockstep(size_t n, RngAt&& rng_at) {
+    return LazyMt64::SeedLockstep(
+        n, [&rng_at](size_t i) { return &rng_at(i)->engine_; });
   }
 
  private:

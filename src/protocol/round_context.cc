@@ -34,8 +34,8 @@ void ReserveCapped(std::vector<T>* v, size_t need, size_t cap) {
 
 }  // namespace
 
-void AnswerMemo::Bind(uint64_t serial) {
-  if (serial == serial_) return;
+bool AnswerMemo::Bind(uint64_t serial) {
+  if (serial == serial_) return !off_;
   serial_ = serial;
   if (slots_.empty()) {
     slots_.assign(kSlots, 0);
@@ -45,10 +45,15 @@ void AnswerMemo::Bind(uint64_t serial) {
   entries_.clear();
   symbols_.clear();
   values_.clear();
+  lookups_ = 0;
+  hits_ = 0;
+  off_ = false;
+  return true;
 }
 
 const AnswerMemo::Entry* AnswerMemo::Find(const Sequence& word,
-                                          uint64_t hash) const {
+                                          uint64_t hash) {
+  ++lookups_;
   if (entries_.empty()) return nullptr;
   for (size_t i = SlotOf(hash);; i = (i + 1) & (kSlots - 1)) {
     uint32_t slot = slots_[i];
@@ -57,6 +62,7 @@ const AnswerMemo::Entry* AnswerMemo::Find(const Sequence& word,
     if (entry.hash == hash && entry.word_size == word.size() &&
         std::equal(word.begin(), word.end(),
                    symbols_.begin() + entry.word_begin)) {
+      ++hits_;
       return &entry;
     }
   }
@@ -64,9 +70,11 @@ const AnswerMemo::Entry* AnswerMemo::Find(const Sequence& word,
 
 bool AnswerMemo::Insert(const Sequence& word, uint64_t hash,
                         Span<const double> values, size_t index) {
-  if (slots_.empty() || entries_.size() >= kMaxEntries ||
+  if (slots_.empty()) return false;
+  if (entries_.size() >= kMaxEntries ||
       symbols_.size() + word.size() > kMaxSymbols ||
       values_.size() + values.size() > kMaxValues) {
+    if (hits_ * kMinLookupsPerHit < lookups_) off_ = true;
     return false;
   }
   Entry entry;

@@ -56,11 +56,19 @@ inline constexpr uint64_t kMaxClassRefineCells = 1u << 20;
 /// kMaxEntries words, kMaxSymbols key symbols and kMaxValues
 /// probabilities, so its heap never exceeds kMaxBytes. Past a cap a word
 /// is answered without caching. A hit allocates nothing.
+///
+/// A miss costs a hash and a probe; on input of mostly distinct words the
+/// memo would only add that to every answer. So once a cap is reached
+/// while fewer than one lookup in kMinLookupsPerHit has hit, the memo
+/// turns itself off until it is bound to another context.
 class AnswerMemo {
  public:
   static constexpr size_t kMaxEntries = 2048;
   static constexpr size_t kMaxSymbols = size_t{1} << 16;
   static constexpr size_t kMaxValues = size_t{1} << 17;
+  /// A hit saves a match of several hundred ns and a miss costs a few
+  /// tens, so below about one hit in eight lookups the memo stops paying.
+  static constexpr uint64_t kMinLookupsPerHit = 8;
 
   struct Entry {
     uint64_t hash = 0;
@@ -79,16 +87,23 @@ class AnswerMemo {
                                       kMaxValues * sizeof(double);
 
   /// Keys the memo to the context with `serial`; a different serial than
-  /// the bound one drops every entry (the capacity is kept).
-  void Bind(uint64_t serial);
+  /// the bound one drops every entry (the capacity is kept) and turns the
+  /// memo back on. Returns whether the memo is on; when it is off, callers
+  /// neither look words up nor insert them.
+  bool Bind(uint64_t serial);
 
   /// The entry for `word` (whose Hash is `hash`), or nullptr.
-  const Entry* Find(const Sequence& word, uint64_t hash) const;
+  const Entry* Find(const Sequence& word, uint64_t hash);
 
   /// Caches `word` -> (`values`, `index`). Returns false, caching nothing,
-  /// when that would pass a cap. `word` must not be cached already.
+  /// when that would pass a cap, and then turns the memo off if its hits
+  /// so far are too few (kMinLookupsPerHit). `word` must not be cached
+  /// already.
   bool Insert(const Sequence& word, uint64_t hash, Span<const double> values,
               size_t index);
+
+  /// False once the memo has turned itself off for the bound context.
+  bool on() const { return !off_; }
 
   Span<const double> Values(const Entry& entry) const {
     return Span<const double>(values_.data() + entry.values_begin,
@@ -105,6 +120,9 @@ class AnswerMemo {
 
  private:
   uint64_t serial_ = 0;  ///< 0: bound to no context
+  uint64_t lookups_ = 0;  ///< Find calls for the bound context
+  uint64_t hits_ = 0;
+  bool off_ = false;
   std::vector<uint32_t> slots_;  ///< entry index + 1; 0 = empty slot
   std::vector<Entry> entries_;
   std::vector<Symbol> symbols_;
@@ -125,8 +143,9 @@ struct AnswerScratch {
   std::vector<uint64_t> words;  ///< raw engine block for batched OUE bits
   AnswerMemo memo;
   /// Word-dependent answers computed over this scratch's life (memo
-  /// misses, plus answers past the memo's cap). Both answer loops keep a
-  /// scratch for one round, so it reads as the distinct words one worker
+  /// misses, so every answer past the memo's cap or after it turned
+  /// itself off counts). Both answer loops keep a scratch for one round,
+  /// so while the memo has room it reads as the distinct words one worker
   /// answered in that round.
   uint64_t distinct_words = 0;
   Report report;

@@ -16,16 +16,17 @@ namespace {
 
 // The word-dependent half of an answer. Within one round it depends only
 // on the word, so with a caller's scratch (`memoize`) it is computed once
-// per distinct word and served from AnswerMemo afterwards; the values are
-// identical either way, and the per-user draws that follow are untouched.
+// per distinct word and served from AnswerMemo afterwards, while the memo
+// is on; the values are identical either way, and the per-user draws that
+// follow are untouched.
 
 /// P_c: match -> scores -> EM selection probabilities.
 Result<Span<const double>> WordProbabilities(const RoundContext& ctx,
                                              const Sequence& word,
                                              AnswerScratch* s, bool memoize) {
   uint64_t hash = 0;
+  memoize = memoize && s->memo.Bind(ctx.serial());
   if (memoize) {
-    s->memo.Bind(ctx.serial());
     hash = AnswerMemo::Hash(word);
     if (const AnswerMemo::Entry* hit = s->memo.Find(word, hash)) {
       return s->memo.Values(*hit);
@@ -48,8 +49,8 @@ Result<Span<const double>> WordProbabilities(const RoundContext& ctx,
 size_t ClosestCandidate(const RoundContext& ctx, const Sequence& word,
                         AnswerScratch* s, bool memoize) {
   uint64_t hash = 0;
+  memoize = memoize && s->memo.Bind(ctx.serial());
   if (memoize) {
-    s->memo.Bind(ctx.serial());
     hash = AnswerMemo::Hash(word);
     if (const AnswerMemo::Entry* hit = s->memo.Find(word, hash)) {
       return hit->index;
@@ -204,12 +205,8 @@ Status ClientSession::AnswerTo(const RoundContext& ctx,
 }
 
 Status ClientSession::SeedEngines(ClientSession* sessions, size_t n) {
-  if (n > LazyMt64::kLockstepLanes) {
-    return Status::InvalidArgument("SeedEngines: more sessions than lanes");
-  }
-  Rng* rngs[LazyMt64::kLockstepLanes];
-  for (size_t i = 0; i < n; ++i) rngs[i] = &sessions[i].rng_;
-  return Rng::SeedLockstep(rngs, n);
+  return Rng::SeedLockstep(
+      n, [sessions](size_t i) { return &sessions[i].rng_; });
 }
 
 // --- String-decoding wire API (thin wrappers) ----------------------------

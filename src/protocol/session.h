@@ -116,11 +116,11 @@ class ClientSession {
   Status AnswerTo(const RoundContext& ctx, AnswerScratch* scratch,
                   ReportBatch* out);
 
-  /// Seeds the Rng engines of `n` (<= LazyMt64::kLockstepLanes) freshly
-  /// constructed sessions in lockstep (Rng::SeedLockstep). Every session
-  /// keeps exactly the stream it would draw when seeded lazily; this only
-  /// overlaps the seeding work of a block of simulated users. Fails,
-  /// seeding nothing, if any session has already drawn.
+  /// Seeds the Rng engines of `n` freshly constructed sessions in
+  /// lockstep (Rng::SeedLockstep). Every session keeps exactly the stream
+  /// it would draw when seeded lazily; this only overlaps the seeding
+  /// work of a block of simulated users. Fails, seeding nothing, if any
+  /// session has already drawn.
   static Status SeedEngines(ClientSession* sessions, size_t n);
 
  private:

@@ -156,14 +156,35 @@ TEST(AnswerMemoTest, MoreDistinctWordsThanTheCapStayByteIdentical) {
     AnswerScratch scratch;
     ExpectReuseMatchesFresh(*ctx, DistinctWord, kUsers, &scratch);
     // Every word is new, so every answer computed its word-dependent half;
-    // the memo stopped caching at its cap.
+    // the memo stopped caching at its cap and, having never hit, turned
+    // itself off.
     EXPECT_EQ(scratch.distinct_words, kUsers);
     EXPECT_EQ(scratch.memo.size(), AnswerMemo::kMaxEntries);
-    // A second pass: cached words hit, the rest are still answered
-    // exactly, uncached.
+    EXPECT_FALSE(scratch.memo.on());
+    // A second pass is answered exactly, without the memo.
     ExpectReuseMatchesFresh(*ctx, DistinctWord, kUsers, &scratch);
-    EXPECT_EQ(scratch.distinct_words, 2 * kUsers - AnswerMemo::kMaxEntries);
+    EXPECT_EQ(scratch.distinct_words, 2 * kUsers);
+    // A new context turns it back on.
+    RoundContext next = SelectionContext(Candidates());
+    ExpectReuseMatchesFresh(next, RepeatedWord, 50, &scratch);
+    EXPECT_TRUE(scratch.memo.on());
   }
+}
+
+/// Word u drawn from 3000 distinct words in random order: more than the
+/// memo holds, but most users repeat a word seen before.
+Sequence WordOfThreeThousand(uint64_t user) {
+  return DistinctWord(DeriveSeed(5, user) % 3000);
+}
+
+TEST(AnswerMemoTest, RepeatedWordsPastTheCapKeepTheMemoOn) {
+  const uint64_t kUsers = 8000;
+  RoundContext selection = SelectionContext(Candidates());
+  AnswerScratch scratch;
+  ExpectReuseMatchesFresh(selection, WordOfThreeThousand, kUsers, &scratch);
+  EXPECT_EQ(scratch.memo.size(), AnswerMemo::kMaxEntries);
+  EXPECT_TRUE(scratch.memo.on());
+  EXPECT_LT(scratch.distinct_words, kUsers / 2);
 }
 
 TEST(AnswerMemoTest, MemoryIsBoundedByTheCap) {

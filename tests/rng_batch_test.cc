@@ -65,7 +65,8 @@ void ExpectLockstepMatchesStd(size_t n) {
     engines.push_back(std::make_unique<LazyMt64>(DeriveSeed(99, i)));
     ptrs.push_back(engines.back().get());
   }
-  ASSERT_TRUE(LazyMt64::SeedLockstep(ptrs.data(), n).ok());
+  ASSERT_TRUE(
+      LazyMt64::SeedLockstep(n, [&](size_t i) { return ptrs[i]; }).ok());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_FALSE(engines[i]->fresh()) << "engine " << i;
     std::mt19937_64 reference(DeriveSeed(99, i));
@@ -98,7 +99,8 @@ TEST(LockstepSeedTest, EngineThatDrewIsNeverReseeded) {
   EXPECT_EQ(drawn(), reference());
   EXPECT_FALSE(drawn.fresh());
   LazyMt64* block[] = {&fresh_a, &drawn, &fresh_b};
-  Status seeded = LazyMt64::SeedLockstep(block, 3);
+  Status seeded =
+      LazyMt64::SeedLockstep(3, [&](size_t i) { return block[i]; });
   EXPECT_EQ(seeded.code(), StatusCode::kFailedPrecondition);
   // Nothing in the block was touched: the fresh engines are still fresh
   // and the drawn one continues its own stream.
@@ -108,9 +110,9 @@ TEST(LockstepSeedTest, EngineThatDrewIsNeverReseeded) {
 
   // An engine seeded once is not fresh either: a second pass fails.
   LazyMt64 once(8);
-  LazyMt64* single[] = {&once};
-  ASSERT_TRUE(LazyMt64::SeedLockstep(single, 1).ok());
-  EXPECT_EQ(LazyMt64::SeedLockstep(single, 1).code(),
+  auto only_once = [&](size_t) { return &once; };
+  ASSERT_TRUE(LazyMt64::SeedLockstep(1, only_once).ok());
+  EXPECT_EQ(LazyMt64::SeedLockstep(1, only_once).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -121,16 +123,14 @@ TEST(LockstepSeedTest, RngAdapterSeedsWholeBlockOrNothing) {
     rngs.push_back(std::make_unique<Rng>(DeriveSeed(3, i)));
     ptrs.push_back(rngs.back().get());
   }
-  // One block at most.
-  EXPECT_EQ(Rng::SeedLockstep(ptrs.data(), ptrs.size()).code(),
-            StatusCode::kInvalidArgument);
+  auto rng_at = [&](size_t i) { return ptrs[i]; };
   (void)rngs[5]->engine()();
-  EXPECT_EQ(Rng::SeedLockstep(ptrs.data(), 8).code(),
+  EXPECT_EQ(Rng::SeedLockstep(ptrs.size(), rng_at).code(),
             StatusCode::kFailedPrecondition);
-  for (size_t i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < ptrs.size(); ++i) {
     EXPECT_EQ(rngs[i]->engine().fresh(), i != 5) << i;
   }
-  ASSERT_TRUE(Rng::SeedLockstep(ptrs.data(), 5).ok());
+  ASSERT_TRUE(Rng::SeedLockstep(5, rng_at).ok());
   for (size_t i = 0; i < 5; ++i) {
     std::mt19937_64 reference(DeriveSeed(3, i));
     uint64_t word = 0;
