@@ -2,19 +2,14 @@
 /// Collector throughput scaling: runs the full four-round protocol over a
 /// generated Trace-style fleet and records reports/sec per configuration
 /// into BENCH_collector.json (the repo's perf baseline; later scaling PRs
-/// regress against it). Three sweeps:
-///
-///   1. thread scaling with streaming ingestion (1, 2, 4, ... threads),
-///   2. streaming vs. barrier ingestion at each thread count (streaming
-///      must be no slower at equal thread counts),
-///   3. multi-collector scaling (1, 2, 4 merged sites at the max thread
-///      count) — the exact cross-collector merge must cost ~nothing.
+/// regress against it). One sweep: thread scaling (1, 2, 4, ... threads
+/// up to the cap), 4 shards per thread.
 ///
 ///   bench_collector_throughput --users 100000 --threads 8
 ///       --json BENCH_collector.json
 ///
 /// `--threads` caps the sweep; `--users` sizes the fleet. The determinism
-/// contract means every configuration extracts identical shapes —
+/// contract means every thread count extracts identical shapes —
 /// verified here as a sanity check.
 
 #include <algorithm>
@@ -23,7 +18,6 @@
 
 #include "bench/harness.h"
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "common/thread_pool.h"
 
@@ -45,12 +39,11 @@ struct RunResult {
 RunResult RunOnce(const core::MechanismConfig& config,
                   const collector::ClientFleet& fleet,
                   const collector::CollectorOptions& options,
-                  ThreadPool* pool, size_t collectors) {
+                  ThreadPool* pool) {
   collector::CollectorMetrics metrics;
-  // A single site runs inline, so collectors == 1 measures exactly the
-  // plain RoundCoordinator path.
-  collector::MultiCollector sites(config, options, pool, collectors);
-  Result<core::MechanismResult> result = sites.Collect(fleet, &metrics);
+  Result<core::MechanismResult> result =
+      collector::RoundCoordinator(config, options, pool)
+          .Collect(fleet, &metrics);
   RunResult out;
   if (!result.ok()) {
     out.error = result.status().ToString();
@@ -75,10 +68,10 @@ RunResult RunOnce(const core::MechanismConfig& config,
 RunResult RunBest(const core::MechanismConfig& config,
                   const collector::ClientFleet& fleet,
                   const collector::CollectorOptions& options,
-                  ThreadPool* pool, size_t collectors, int trials) {
+                  ThreadPool* pool, int trials) {
   RunResult best;
   for (int trial = 0; trial < std::max(trials, 1); ++trial) {
-    RunResult run = RunOnce(config, fleet, options, pool, collectors);
+    RunResult run = RunOnce(config, fleet, options, pool);
     if (run.ok ? (!best.ok || run.rate > best.rate) : !best.ok) {
       best = run;  // fastest good run, or an error if none succeed
     }
@@ -130,8 +123,8 @@ int Main(int argc, char** argv) {
     bench::PrintTitle(
         "NOTE: 1 hardware thread — thread-scaling speedups not measurable");
   }
-  bench::PrintHeader({"threads", "collectors", "ingest", "accepted/s",
-                      "seconds", "speedup", "shapes"});
+  bench::PrintHeader(
+      {"threads", "shards", "accepted/s", "seconds", "speedup", "shapes"});
 
   std::vector<size_t> thread_counts;
   for (size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
@@ -144,13 +137,13 @@ int Main(int argc, char** argv) {
   bool deterministic = true;
   size_t completed = 0;
 
-  auto record = [&](size_t threads, size_t collectors,
-                    const std::string& ingest,
+  auto record = [&](size_t threads,
                     const collector::CollectorOptions& options,
                     const RunResult& run) {
+    std::string shards = std::to_string(options.num_shards);
     if (!run.ok) {
-      bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                       ingest, "-", "-", "-", run.error});
+      bench::PrintRow(
+          {std::to_string(threads), shards, "-", "-", "-", run.error});
       return;
     }
     ++completed;
@@ -164,8 +157,8 @@ int Main(int argc, char** argv) {
     // On a single core every "parallel" run shares the one CPU, so a
     // speedup of ~1 is an artifact of the machine, not the code — print
     // and record it as not-applicable instead of a misleading number.
-    bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                     ingest, FormatDouble(run.rate, 6),
+    bench::PrintRow({std::to_string(threads), shards,
+                     FormatDouble(run.rate, 6),
                      FormatDouble(run.seconds, 4),
                      can_scale ? FormatDouble(speedup, 3) : "n/a",
                      run.shapes});
@@ -181,9 +174,7 @@ int Main(int argc, char** argv) {
       json->AddRecord(
           "collector_throughput",
           {{"threads", std::to_string(threads)},
-           {"shards", std::to_string(options.num_shards)},
-           {"collectors", std::to_string(collectors)},
-           {"ingest", ingest},
+           {"shards", shards},
            {"queue_depth", std::to_string(options.queue_depth)},
            {"users", std::to_string(scale.users)},
            {"dataset", "trace"}},
@@ -191,37 +182,18 @@ int Main(int argc, char** argv) {
     }
   };
 
-  // Sweeps 1+2: streaming and barrier ingestion at every thread count.
   for (size_t threads : thread_counts) {
     ThreadPool pool(threads);
     collector::CollectorOptions options;
     // 4 shards per worker keeps stripes small enough to load-balance.
     options.num_shards = threads * 4;
-    for (bool streaming : {true, false}) {
-      options.streaming = streaming;
-      RunResult run =
-          RunBest(config, fleet, options, &pool, 1, scale.trials);
-      record(threads, 1, streaming ? "streaming" : "barrier", options, run);
-    }
-  }
-
-  // Sweep 3: multi-collector scaling at the max thread count. The
-  // collectors=1 point is sweep 1's max-thread streaming record — not
-  // repeated here, so every record's params are unique in the baseline.
-  {
-    ThreadPool pool(max_threads);
-    collector::CollectorOptions options;
-    options.num_shards = max_threads * 4;
-    for (size_t collectors : {size_t{2}, size_t{4}}) {
-      RunResult run =
-          RunBest(config, fleet, options, &pool, collectors, scale.trials);
-      record(max_threads, collectors, "streaming", options, run);
-    }
+    record(threads, options,
+           RunBest(config, fleet, options, &pool, scale.trials));
   }
 
   if (!deterministic) {
-    bench::PrintRow({"WARNING", "shapes varied across configurations", "",
-                     "", "", "", ""});
+    bench::PrintRow(
+        {"WARNING", "shapes varied across thread counts", "", "", "", ""});
     return 1;
   }
   if (completed == 0) {

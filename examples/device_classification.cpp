@@ -17,7 +17,7 @@
 #include <iostream>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
+#include "collector/round_coordinator.h"
 #include "common/cli.h"
 #include "common/thread_pool.h"
 #include "core/classification.h"
@@ -69,15 +69,14 @@ int main(int argc, char** argv) {
 
   // 1) Serve the protocol over the wire: the labeled fleet wraps each
   //    training user's (word, label) into a lazily materialized
-  //    ClientSession; two merged collection sites run the rounds on a
-  //    shared pool. Labels are only ever read inside each session's local
-  //    OUE encoding — the collector sees noisy bit vectors.
+  //    ClientSession; the coordinator runs the rounds on the pool.
+  //    Labels are only ever read inside each session's local OUE
+  //    encoding — the collector sees noisy bit vectors.
   collector::ClientFleet fleet = collector::ClientFleet::FromWords(
       *train_seqs, train_seqs->size(), config.metric, config.seed,
       train_labels);
   ThreadPool pool(ThreadsFromArgs(args, 4));
-  collector::MultiCollector sites(config, {}, &pool, /*num_collectors=*/2);
-  auto served = sites.Collect(fleet);
+  auto served = collector::RoundCoordinator(config, {}, &pool).Collect(fleet);
   if (!served.ok()) {
     std::cerr << served.status() << "\n";
     return 1;

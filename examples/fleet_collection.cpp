@@ -6,8 +6,7 @@
 // drives Algorithm 2's four rounds (P_a..P_d) over the wire protocol:
 // every byte that reaches the server is a perturbed, encoded report,
 // streamed through bounded batch queues into lock-free sharded
-// aggregation — and optionally served by several independent collectors
-// whose integer state merges exactly.
+// aggregation, whose integer state merges exactly.
 //
 // The punchline is the determinism contract: for a fixed seed the
 // collector's shapes are byte-identical to the single-threaded
@@ -20,7 +19,6 @@
 #include <iostream>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "core/privshape.h"
 #include "series/sequence.h"
@@ -51,12 +49,10 @@ int main() {
   }
   collector::ClientFleet fleet(kUsers, *word_fn, config.metric, config.seed);
 
-  // 3) Serve the four collection rounds on 4 threads, 8 shards, with
-  //    streaming ingestion: answering workers push report batches into
-  //    bounded queues while drainer threads aggregate concurrently
-  //    (queue_depth bounds the in-flight batches — that is the
-  //    backpressure). Set options.streaming = false for the old
-  //    answer-then-aggregate barrier path; the shapes cannot change.
+  // 3) Serve the four collection rounds on 4 threads, 8 shards:
+  //    answering workers push report batches into bounded queues while
+  //    drainer threads aggregate concurrently (queue_depth bounds the
+  //    in-flight batches — that is the backpressure).
   ThreadPool pool(4);
   collector::CollectorOptions options;
   options.num_shards = 8;
@@ -69,26 +65,26 @@ int main() {
     return 1;
   }
 
-  // 3b) The same protocol served by 3 independent collection sites, each
-  //     owning a third of every round's population, merged exactly
-  //     (integer counts) before each server decision — still
-  //     byte-identical, which is the point: sharding, streaming, and
-  //     multi-collector merge are pure serving-layer choices.
-  collector::MultiCollector sites(config, options, &pool, 3);
-  auto merged = sites.Collect(fleet);
-  if (!merged.ok()) {
-    std::cerr << "multi-collector collection failed: " << merged.status()
-              << "\n";
+  // 3b) The same protocol with 32 lanes and depth-1 queues, so every
+  //     push can block — still byte-identical, which is the point: lanes,
+  //     threads and queue depth are pure serving-layer choices.
+  collector::CollectorOptions hostile;
+  hostile.num_shards = 32;
+  hostile.queue_depth = 1;
+  auto rerun = collector::RoundCoordinator(config, hostile, &pool)
+                   .Collect(fleet);
+  if (!rerun.ok()) {
+    std::cerr << "re-run failed: " << rerun.status() << "\n";
     return 1;
   }
-  bool sites_match = merged->shapes.size() == result->shapes.size();
-  for (size_t i = 0; sites_match && i < merged->shapes.size(); ++i) {
-    sites_match = merged->shapes[i].shape == result->shapes[i].shape &&
-                  merged->shapes[i].frequency == result->shapes[i].frequency;
+  bool rerun_match = rerun->shapes.size() == result->shapes.size();
+  for (size_t i = 0; rerun_match && i < rerun->shapes.size(); ++i) {
+    rerun_match = rerun->shapes[i].shape == result->shapes[i].shape &&
+                  rerun->shapes[i].frequency == result->shapes[i].frequency;
   }
-  std::cout << "3 merged collectors == 1 collector: "
-            << (sites_match ? "yes (byte-identical)" : "NO — bug!") << "\n";
-  if (!sites_match) return 1;
+  std::cout << "32 lanes, depth-1 queues == 8 lanes: "
+            << (rerun_match ? "yes (byte-identical)" : "NO — bug!") << "\n";
+  if (!rerun_match) return 1;
 
   std::cout << "extracted shapes (frequent length "
             << result->frequent_length << "):\n";

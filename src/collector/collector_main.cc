@@ -2,18 +2,16 @@
 /// `privshape_collector` — end-to-end collection server over a simulated
 /// fleet. Synthesizes (or loads) a fleet of users, runs the full
 /// Algorithm 2 protocol through the sharded multi-threaded
-/// RoundCoordinator (streaming ingestion by default, optionally merged
-/// across several independent collectors), prints the extracted shapes
-/// and throughput metrics, and optionally verifies the determinism
-/// contract against the single-threaded core pipeline.
+/// RoundCoordinator, prints the extracted shapes and throughput metrics,
+/// and optionally verifies the determinism contract against the
+/// single-threaded core pipeline. Unknown flags exit 1.
 ///
 /// Examples:
 ///   privshape_collector --dataset trace --users 1000000 --threads 8
 ///   privshape_collector --users 20000 --threads 4 --check-determinism
 ///       --json metrics.json
 ///   privshape_collector --csv data.csv --epsilon 2 --users 50000
-///   privshape_collector --users 100000 --collectors 4 --queue-depth 16
-///   privshape_collector --users 100000 --ingest barrier   # old path
+///   privshape_collector --users 100000 --shards 16 --queue-depth 16
 ///   privshape_collector --num-classes 3 --users 50000     # labeled shapes
 ///   privshape_collector --csv data.csv --labels labels.csv --num-classes 4
 ///   privshape_collector --csv data.csv --label-column 0 --num-classes 4
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "collector/shapes_io.h"
 #include "common/cli.h"
@@ -269,19 +266,18 @@ Result<size_t> GetCount(const CliArgs& args, const std::string& name,
   return static_cast<size_t>(*value);
 }
 
-/// Serves the whole protocol with `collectors` merged sites (a single
-/// site runs inline with no site threads).
-Result<core::MechanismResult> Serve(const core::MechanismConfig& config,
-                                    const collector::CollectorOptions& options,
-                                    ThreadPool* pool, size_t collectors,
-                                    const collector::ClientFleet& fleet,
-                                    collector::CollectorMetrics* metrics) {
-  return collector::MultiCollector(config, options, pool, collectors)
-      .Collect(fleet, metrics);
-}
-
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  Status flags = args.RejectUnknown(
+      {"users", "threads", "shards", "batch-size", "batch_size",
+       "queue-depth", "queue_depth", "dataset", "csv", "seed", "epsilon",
+       "k", "c", "num-classes", "num_classes", "labels", "label-column",
+       "label_column", "check-determinism", "check_determinism", "trace",
+       "json"});
+  if (!flags.ok()) {
+    std::cerr << "privshape_collector: " << flags << "\n";
+    return 1;
+  }
   // SIGINT/SIGTERM mid-protocol: stop producing reports, drain the
   // queues, record the partial round, still write --json, exit 3.
   InstallShutdownHandler();
@@ -290,13 +286,12 @@ int Main(int argc, char** argv) {
   // and underscored spellings of the batch/queue flags are aliases
   // (the dashed form wins when both are given).
   auto users_flag = GetCount(args, "users", 100000);
-  auto collectors_flag = GetCount(args, "collectors", 1);
   auto shards_flag = GetCount(args, "shards", 0);
   auto batch_flag = GetCount(args, "batch_size", 256);
   auto queue_flag = GetCount(args, "queue_depth",
                              collector::CollectorOptions{}.queue_depth);
-  for (const auto* flag : {&users_flag, &collectors_flag, &shards_flag,
-                           &batch_flag, &queue_flag}) {
+  for (const auto* flag :
+       {&users_flag, &shards_flag, &batch_flag, &queue_flag}) {
     if (!flag->ok()) {
       std::cerr << "privshape_collector: " << flag->status() << "\n";
       return 1;
@@ -312,23 +307,10 @@ int Main(int argc, char** argv) {
     return 1;
   }
   size_t users = *users_flag;
-  size_t collectors = *collectors_flag;
   options.num_shards = *shards_flag;
   options.batch_size = *batch_flag;
   options.queue_depth = *queue_flag;
   size_t threads = ThreadsFromArgs(args);
-  std::string ingest = args.GetString("ingest", "streaming");
-  if (ingest != "streaming" && ingest != "barrier") {
-    std::cerr << "privshape_collector: --ingest must be streaming|barrier\n";
-    return 1;
-  }
-  options.streaming = ingest == "streaming";
-  if (collectors == 0) {
-    // 0 is meaningful for --shards (one per thread) and --queue-depth
-    // (unbounded) but has no sane reading for collection sites.
-    std::cerr << "privshape_collector: --collectors must be >= 1\n";
-    return 1;
-  }
 
   auto setup = BuildSetup(args);
   if (!setup.ok()) {
@@ -364,14 +346,14 @@ int Main(int argc, char** argv) {
   telemetry::ScopedTraceFile trace(args.GetString("trace", ""));
 
   std::printf(
-      "privshape_collector: %s, %zu users, %zu threads, %zu shards, "
-      "%zu collector(s), %s ingest (queue depth %zu)\n",
+      "privshape_collector: %s, %zu users, %zu threads, %zu shards "
+      "(queue depth %zu)\n",
       setup->description.c_str(), users, pool.num_threads(),
       options.num_shards > 0 ? options.num_shards : pool.num_threads(),
-      collectors, ingest.c_str(), options.queue_depth);
+      options.queue_depth);
   collector::CollectorMetrics metrics;
-  auto result =
-      Serve(setup->config, options, &pool, collectors, fleet, &metrics);
+  auto result = collector::RoundCoordinator(setup->config, options, &pool)
+                    .Collect(fleet, &metrics);
   if (!result.ok()) {
     std::cerr << "privshape_collector: " << result.status() << "\n";
     if (result.status().code() != StatusCode::kCancelled) return 1;
@@ -415,10 +397,9 @@ int Main(int argc, char** argv) {
 
   if (check_determinism) {
     // Contract: byte-identical shapes vs. the single-threaded core
-    // pipeline on the same words — for the barrier path, for streaming
-    // at queue depths {1, 8, default}, for shard counts {1, 4, 16}, and
-    // for {1, 3} merged collectors. `fleet` is already the materialized
-    // word list, so the reference and every re-run below reuse the one
+    // pipeline on the same words — at queue depths {1, 8, default} and
+    // shard counts {1, 4, 16}. `fleet` is already the materialized word
+    // list, so the reference and every re-run below reuse the one
     // synthesis pass from above.
     core::PrivShape reference(setup->config);
     auto expected = reference.Run(words, labeled ? &labels : nullptr);
@@ -431,35 +412,26 @@ int Main(int argc, char** argv) {
     std::printf("\n  collector(run) == core: %s\n",
                 all_ok ? "OK" : "MISMATCH");
     auto check = [&](const collector::CollectorOptions& opt,
-                     size_t check_collectors, const std::string& label) {
-      auto got = Serve(setup->config, opt, &pool, check_collectors,
-                       fleet, nullptr);
+                     const std::string& label) {
+      auto got = collector::RoundCoordinator(setup->config, opt, &pool)
+                     .Collect(fleet);
       bool ok = got.ok() && SameShapes(*expected, *got);
       std::printf("  collector(%s) == core: %s\n", label.c_str(),
                   ok ? "OK" : "MISMATCH");
       all_ok = all_ok && ok;
     };
-    {
-      collector::CollectorOptions opt = options;
-      opt.streaming = false;
-      check(opt, 1, "ingest=barrier");
-    }
     std::vector<size_t> depths = {size_t{1}, size_t{8},
                                   collector::CollectorOptions{}.queue_depth};
     depths.erase(std::unique(depths.begin(), depths.end()), depths.end());
     for (size_t depth : depths) {
       collector::CollectorOptions opt = options;
-      opt.streaming = true;
       opt.queue_depth = depth;
-      check(opt, 1, "queue-depth=" + std::to_string(depth));
+      check(opt, "queue-depth=" + std::to_string(depth));
     }
     for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
       collector::CollectorOptions opt = options;
       opt.num_shards = shards;
-      check(opt, 1, "shards=" + std::to_string(shards));
-    }
-    for (size_t sites : {size_t{1}, size_t{3}}) {
-      check(options, sites, "collectors=" + std::to_string(sites));
+      check(opt, "shards=" + std::to_string(shards));
     }
     if (!all_ok) {
       std::cerr << "privshape_collector: determinism contract VIOLATED\n";

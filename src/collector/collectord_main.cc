@@ -13,7 +13,8 @@
 ///       --json collectord-metrics.json
 ///
 /// SIGINT/SIGTERM: finishes draining the round in flight, closes every
-/// socket, still writes --json metrics, exits 3.
+/// socket, still writes --json metrics, exits 3. Unknown flags (--help
+/// included) exit 1 and list the accepted ones.
 
 #include <cstdio>
 #include <iostream>
@@ -75,6 +76,15 @@ Result<core::MechanismConfig> ConfigFromArgs(const CliArgs& args) {
 
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  Status flags = args.RejectUnknown(
+      {"host", "port", "users", "min-clients", "shards", "drainers",
+       "queue-depth", "accept-timeout", "round-deadline", "stats-port",
+       "dataset", "seed", "epsilon", "k", "c", "num-classes", "num_classes",
+       "trace", "json"});
+  if (!flags.ok()) {
+    std::cerr << "privshape_collectord: " << flags << "\n";
+    return 1;
+  }
   InstallShutdownHandler();
 
   auto config = ConfigFromArgs(args);

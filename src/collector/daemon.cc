@@ -4,13 +4,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <exception>
-#include <thread>
 #include <utility>
 
-#include "common/batch_queue.h"
+#include "collector/ingest_lanes.h"
 #include "common/logging.h"
 #include "common/shutdown.h"
 #include "telemetry/telemetry.h"
@@ -57,20 +54,6 @@ struct DaemonInstruments {
   }
 };
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// The drainer-side depth gauge for the daemon's queue `d`.
-std::atomic<int64_t>* DaemonQueueDepthGauge(size_t d) {
-  return telemetry::Registry::Default()
-      .GetGauge("daemon_queue_depth_d" + std::to_string(d))
-      ->raw();
-}
-
 /// How long the event loop sleeps per poll iteration while a round (or
 /// the accept phase) is in flight: short enough that deadlines and the
 /// shutdown flag are honored promptly.
@@ -79,21 +62,6 @@ constexpr int kPollMs = 50;
 /// How long BroadcastComplete keeps flushing buffered frames before
 /// giving up on a non-draining client.
 constexpr double kFlushTimeoutSeconds = 5.0;
-
-/// One queued unit of the ingestion pipeline, identical in shape to the
-/// in-process coordinator's: a flat batch of encoded reports bound for
-/// one aggregation lane.
-struct ShardBatch {
-  size_t shard = 0;
-  proto::ReportBatch reports;
-};
-
-/// RoundRunner returns RoundOutcome, not Status — a fatal transport
-/// failure mid-protocol (every client gone, epoll broken) escapes the
-/// runner as this exception and Serve converts it back into a Status.
-struct DaemonAbort {
-  Status status;
-};
 
 /// Non-blocking send of as much of `data` as the socket accepts right
 /// now. Returns the byte count (0 = the socket is full, try again on
@@ -166,9 +134,7 @@ struct CollectorDaemon::Connection {
 /// In-flight round plumbing HandleBatchUpload routes into.
 struct CollectorDaemon::RoundState {
   uint64_t round_id = 0;
-  size_t num_shards = 1;
-  size_t num_drainers = 1;
-  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>>* queues = nullptr;
+  IngestLanes* lanes = nullptr;
 };
 
 CollectorDaemon::CollectorDaemon(core::MechanismConfig config,
@@ -439,12 +405,11 @@ void CollectorDaemon::HandleBatchUpload(Connection& conn,
     batch.AppendEncoded(report);
   }
   conn.uploaded += upload->reports.size();
-  size_t shard = conn.round_index % round_->num_shards;
-  // A full queue blocks here — the event loop stops reading sockets and
-  // TCP pushes the backpressure down to the clients, exactly like the
-  // in-process producers blocking on Push.
-  (*round_->queues)[shard % round_->num_drainers]->Push(
-      ShardBatch{shard, std::move(batch)});
+  // Participant p feeds lane p mod shards. A full queue blocks here — the
+  // event loop stops reading sockets and TCP pushes the backpressure down
+  // to the clients, exactly like the in-process producers blocking on
+  // Push.
+  round_->lanes->Push(conn.round_index, std::move(batch));
 }
 
 void CollectorDaemon::HandleRoundDone(Connection& conn,
@@ -506,7 +471,7 @@ Status CollectorDaemon::ProcessEvents(int timeout_ms) {
   return Status::Ok();
 }
 
-RoundOutcome CollectorDaemon::RunNetworkRound(
+Result<RoundOutcome> CollectorDaemon::RunNetworkRound(
     const std::vector<size_t>& population, const StageSpec& spec,
     const std::string& encoded_request) {
   ++current_round_;
@@ -517,125 +482,80 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
     }
   }
   if (participants.empty()) {
-    throw DaemonAbort{Status::FailedPrecondition(
-        "round " + std::to_string(current_round_) +
-        ": every client disconnected")};
+    return Status::FailedPrecondition("round " +
+                                      std::to_string(current_round_) +
+                                      ": every client disconnected");
   }
 
-  size_t num_shards = EffectiveShards();
-  size_t num_drainers = std::min(EffectiveDrainers(), num_shards);
-  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}, 0};
+  RoundOutcome outcome{ShardedAggregator(spec, EffectiveShards()), 0, {},
+                       0};
   DaemonInstruments::Get().current_round->Set(
       static_cast<int64_t>(current_round_));
-  // Per-BATCH ingest latency, shared by the drainers (relaxed atomics);
-  // snapshotted into the outcome after the joins.
-  auto ingest_hist = std::make_unique<telemetry::Histogram>();
-
-  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
-  queues.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    queues.push_back(
-        std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
-    queues.back()->set_depth_gauge(DaemonQueueDepthGauge(d));
-  }
-  // Same drainer topology as the in-process coordinator: drainer d is the
-  // only consumer of queue d and the only writer of lanes {s : s % D == d},
-  // so aggregation needs no locks and the merge stays exact.
-  std::vector<std::exception_ptr> drain_errors(num_drainers);
-  std::vector<std::thread> drainers;
-  drainers.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    drainers.emplace_back([&, d] {
-      try {
-        ShardBatch item;
-        while (queues[d]->Pop(&item)) {
-          uint64_t t0 = NowNs();
-          outcome.agg.ConsumeBatch(item.shard, item.reports);
-          ingest_hist->Record(NowNs() - t0);
-        }
-      } catch (...) {
-        drain_errors[d] = std::current_exception();
-        queues[d]->Close();
-      }
-    });
-  }
-  auto shutdown_drainers = [&] {
-    for (auto& queue : queues) queue->Close();
-    for (auto& drainer : drainers) drainer.join();
-  };
-
-  RoundState state;
-  state.round_id = current_round_;
-  state.num_shards = num_shards;
-  state.num_drainers = num_drainers;
-  state.queues = &queues;
+  // The coordinator's lane topology, fed by this event loop instead of
+  // pool workers.
+  IngestLanes lanes(&outcome.agg, EffectiveDrainers(), options_.queue_depth,
+                    "daemon");
+  RoundState state{current_round_, &lanes};
   round_ = &state;
 
-  try {
-    // Participant p answers for the contiguous population slice
-    // [n*p/P, n*(p+1)/P) — the exact stripe split the in-process rounds
-    // use, though the estimates are independent of the partition either
-    // way (integer-count merging is order-free).
-    size_t n = population.size();
-    size_t num_participants = participants.size();
-    for (size_t p = 0; p < num_participants; ++p) {
-      Connection* conn = participants[p];
-      conn->round_index = p;
-      size_t begin = n * p / num_participants;
-      size_t end = n * (p + 1) / num_participants;
-      conn->assigned = end - begin;
-      conn->uploaded = 0;
-      conn->done = false;
-      conn->done_errors = 0;
-      net::RoundBeginMsg msg;
-      msg.round_id = current_round_;
-      msg.kind = spec.kind;
-      msg.request = encoded_request;
-      msg.users.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        msg.users.push_back(static_cast<uint64_t>(population[i]));
-      }
-      SendFrame(*conn, net::MsgType::kRoundBegin, net::EncodeRoundBegin(msg));
+  // Participant p answers for the contiguous population slice
+  // [n*p/P, n*(p+1)/P) — the exact stripe split the in-process rounds
+  // use, though the estimates are independent of the partition either
+  // way (integer-count merging is order-free).
+  size_t n = population.size();
+  size_t num_participants = participants.size();
+  for (size_t p = 0; p < num_participants; ++p) {
+    Connection* conn = participants[p];
+    conn->round_index = p;
+    size_t begin = n * p / num_participants;
+    size_t end = n * (p + 1) / num_participants;
+    conn->assigned = end - begin;
+    conn->uploaded = 0;
+    conn->done = false;
+    conn->done_errors = 0;
+    net::RoundBeginMsg msg;
+    msg.round_id = current_round_;
+    msg.kind = spec.kind;
+    msg.request = encoded_request;
+    msg.users.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      msg.users.push_back(static_cast<uint64_t>(population[i]));
     }
+    SendFrame(*conn, net::MsgType::kRoundBegin, net::EncodeRoundBegin(msg));
+  }
 
-    double deadline = MonotonicSeconds() + options_.round_deadline_seconds;
-    while (true) {
-      bool pending = false;
-      for (Connection* conn : participants) {
-        if (!conn->dead && !conn->done) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) break;
-      // A set shutdown flag ends the round with whatever arrived; the
-      // queues drain normally below and DriveProtocol turns the flag
-      // into Cancelled before any server-side decision.
-      if (ShutdownRequested()) break;
-      if (MonotonicSeconds() > deadline) {
-        for (Connection* conn : participants) {
-          if (!conn->dead && !conn->done) {
-            ++stats_.deadline_drops;
-            DaemonInstruments::Get().deadline_drops->Add(1);
-            DropConnection(*conn, "round deadline exceeded", false);
-          }
-        }
+  Status polled = Status::Ok();
+  double deadline = MonotonicSeconds() + options_.round_deadline_seconds;
+  while (polled.ok()) {
+    bool pending = false;
+    for (Connection* conn : participants) {
+      if (!conn->dead && !conn->done) {
+        pending = true;
         break;
       }
-      Status polled = ProcessEvents(kPollMs);
-      if (!polled.ok()) throw DaemonAbort{polled};
     }
-  } catch (...) {
-    round_ = nullptr;
-    shutdown_drainers();
-    throw;
+    if (!pending) break;
+    // A set shutdown flag ends the round with whatever arrived; the
+    // queues drain normally below and DriveProtocol turns the flag into
+    // Cancelled before any server-side decision.
+    if (ShutdownRequested()) break;
+    if (MonotonicSeconds() > deadline) {
+      for (Connection* conn : participants) {
+        if (!conn->dead && !conn->done) {
+          ++stats_.deadline_drops;
+          DaemonInstruments::Get().deadline_drops->Add(1);
+          DropConnection(*conn, "round deadline exceeded", false);
+        }
+      }
+      break;
+    }
+    polled = ProcessEvents(kPollMs);
   }
   round_ = nullptr;
-  shutdown_drainers();
-  for (const auto& error : drain_errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  outcome.ingest_latency = ingest_hist->Snapshot();
+  auto latency = lanes.Finish();
+  PRIVSHAPE_RETURN_IF_ERROR(polled);
+  if (!latency.ok()) return latency.status();
+  outcome.ingest_latency = std::move(*latency);
 
   // Every assigned-but-undelivered user of a dropped or unfinished
   // connection is a client error: the round completed without them.
@@ -740,19 +660,13 @@ Result<core::MechanismResult> CollectorDaemon::Serve(
                 << " clients handshaked, starting protocol over "
                 << num_users_ << " users";
 
-  Result<core::MechanismResult> result =
-      Status::Internal("protocol did not run");
-  try {
-    result = DriveProtocol(
-        config_, num_users_,
-        [this](const std::vector<size_t>& population, const StageSpec& spec,
-               const std::string& encoded_request, const AnswerFn&) {
-          return RunNetworkRound(population, spec, encoded_request);
-        },
-        metrics);
-  } catch (const DaemonAbort& abort) {
-    result = abort.status;
-  }
+  Result<core::MechanismResult> result = DriveProtocol(
+      config_, num_users_,
+      [this](const std::vector<size_t>& population, const StageSpec& spec,
+             const std::string& encoded_request, const AnswerFn&) {
+        return RunNetworkRound(population, spec, encoded_request);
+      },
+      metrics);
 
   fill_metrics();
   if (result.ok()) {

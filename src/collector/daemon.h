@@ -129,9 +129,11 @@ class CollectorDaemon {
                       bool protocol_error);
   size_t LiveHandshaked() const;
 
-  RoundOutcome RunNetworkRound(const std::vector<size_t>& population,
-                               const StageSpec& spec,
-                               const std::string& encoded_request);
+  /// One round over the wire. Fails with FailedPrecondition when no
+  /// client is left to ask, or with the event loop's or a drainer's error.
+  Result<RoundOutcome> RunNetworkRound(const std::vector<size_t>& population,
+                                       const StageSpec& spec,
+                                       const std::string& encoded_request);
   void BroadcastComplete(const core::MechanismResult& result);
   void CloseAll();
 
@@ -143,9 +145,9 @@ class CollectorDaemon {
   // member below — the connection table, the wire stats, the round
   // pointer — is owned exclusively by the one thread driving Serve's
   // event loop. Per-round drainer threads never touch daemon state;
-  // the only cross-thread handoff is the annotated BatchQueue inside
-  // RoundState::queues (common/batch_queue.h), plus telemetry's
-  // lock-free instruments. Adding a second toucher means adding a
+  // the only cross-thread handoff is the round's IngestLanes
+  // (collector/ingest_lanes.h, annotated BatchQueues inside), plus
+  // telemetry's lock-free instruments. Adding a second toucher means adding a
   // Mutex + PS_GUARDED_BY here first.
   core::MechanismConfig config_;
   size_t num_users_;

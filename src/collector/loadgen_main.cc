@@ -13,7 +13,7 @@
 /// --check re-runs the mechanism through the single-threaded core
 /// pipeline on the locally synthesized words and exits 2 unless the
 /// daemon's broadcast shapes are byte-identical — the determinism
-/// contract, verified end to end over real sockets.
+/// contract, verified end to end over real sockets. Unknown flags exit 1.
 
 #include <cstdio>
 #include <iostream>
@@ -45,6 +45,14 @@ Result<size_t> GetCount(const CliArgs& args, const std::string& name,
 
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  Status flags = args.RejectUnknown(
+      {"host", "port", "users", "connections", "batch-size", "timeout",
+       "dataset", "seed", "epsilon", "k", "c", "num-classes", "num_classes",
+       "check", "trace", "json"});
+  if (!flags.ok()) {
+    std::cerr << "privshape_loadgen: " << flags << "\n";
+    return 1;
+  }
 
   std::string dataset = args.GetString("dataset", "trace");
   auto config = collector::GeneratedDatasetConfig(dataset);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <thread>
 #include <utility>
 
-#include "common/batch_queue.h"
+#include "collector/ingest_lanes.h"
 #include "common/shutdown.h"
 #include "core/population.h"
 #include "core/subshape.h"
@@ -25,38 +23,18 @@ double Now() {
       .count();
 }
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// The drainer-side depth gauge for queue `d` of this process's default
-/// registry (registered once, cached by the registry thereafter).
-std::atomic<int64_t>* QueueDepthGauge(size_t d) {
-  return telemetry::Registry::Default()
-      .GetGauge("collector_queue_depth_d" + std::to_string(d))
-      ->raw();
-}
-
-/// One queued unit of the streaming pipeline: a flat batch of encoded
-/// reports bound for one aggregation lane (one buffer per batch — the
-/// producer side allocates per batch, never per report).
-struct ShardBatch {
-  size_t shard = 0;
-  proto::ReportBatch reports;
-};
-
 /// Times one round, runs it (under a chrome-trace span when tracing is
 /// on), folds its telemetry into the process registry, and appends its
-/// RoundStats.
-RoundOutcome RunTimedRound(const RoundRunner& run_round,
-                           const std::vector<size_t>& population,
-                           const StageSpec& spec,
-                           const std::string& encoded_request,
-                           const AnswerFn& answer, const std::string& stage,
-                           CollectorMetrics* metrics) {
+/// RoundStats. A failed round records nothing and returns its status; a
+/// set shutdown flag turns the partial round just recorded into a
+/// Cancelled protocol result — never into a server-side decision.
+Result<RoundOutcome> RunTimedRound(const RoundRunner& run_round,
+                                   const std::vector<size_t>& population,
+                                   const StageSpec& spec,
+                                   const std::string& encoded_request,
+                                   const AnswerFn& answer,
+                                   const std::string& stage,
+                                   CollectorMetrics* metrics) {
   // Resolved once per process; Record/Add through the cached pointers is
   // the lock-free path the registry's contract promises.
   static telemetry::Registry& reg = telemetry::Registry::Default();
@@ -80,10 +58,13 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
   telemetry::TraceSpan span(telemetry::GlobalTrace(), stage, "round");
   round_users->Set(static_cast<int64_t>(population.size()));
   double start = Now();
-  RoundOutcome outcome = run_round(population, spec, encoded_request, answer);
+  Result<RoundOutcome> result =
+      run_round(population, spec, encoded_request, answer);
   double seconds = Now() - start;
   span.Close();
   round_users->Set(0);
+  if (!result.ok()) return result.status();
+  const RoundOutcome& outcome = *result;
 
   rounds_total->Add(1);
   accepted_total->Add(outcome.agg.accepted());
@@ -115,16 +96,18 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
     }
     metrics->rounds.push_back(std::move(stats));
   }
-  return outcome;
-}
-
-/// A set shutdown flag turns the partial round just recorded into a
-/// Cancelled protocol result — never into a server-side decision.
-Status CheckShutdown() {
   if (ShutdownRequested()) {
     return Status::Cancelled("shutdown requested mid-protocol");
   }
-  return Status::Ok();
+  return result;
+}
+
+/// Every round's clients answer against the one pre-built context.
+AnswerFn AnswerWith(const proto::RoundContext& ctx) {
+  return [&ctx](proto::ClientSession& session, size_t,
+                proto::AnswerScratch& scratch, proto::ReportBatch& out) {
+    return session.AnswerTo(ctx, &scratch, &out);
+  };
 }
 
 }  // namespace
@@ -144,26 +127,26 @@ size_t RoundCoordinator::EffectiveShards() const {
   return shards > 0 ? shards : 1;
 }
 
-RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
-                                        const std::vector<size_t>& population,
-                                        const StageSpec& spec,
-                                        const AnswerFn& answer) const {
+Result<RoundOutcome> RoundCoordinator::RunRound(
+    const ClientFleet& fleet, const std::vector<size_t>& population,
+    const StageSpec& spec, const AnswerFn& answer) const {
   size_t num_shards = EffectiveShards();
   size_t batch_size = options_.batch_size > 0 ? options_.batch_size : 1;
   RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}, 0};
   std::atomic<size_t> client_errors{0};
   std::atomic<size_t> distinct_words{0};
-  // One live histogram per round, shared by every ingesting thread
-  // (Record is relaxed atomics — per-BATCH, never per-report, so the
-  // zero-allocation report path stays untouched). Snapshotted into the
-  // outcome at the end; heap-allocated because it is ~24KB of atomics.
-  auto ingest_hist = std::make_unique<telemetry::Histogram>();
+  // Drainers must be dedicated threads (pool tasks could be starved by
+  // producers blocked on full queues), but they count against the thread
+  // budget: ceil(threads/2) of them, so a T-thread round schedules at
+  // most 1.5T runnable threads — decode+count is far cheaper than
+  // answering, so half the workers absorb it.
+  IngestLanes lanes(&outcome.agg, (EffectiveThreads() + 1) / 2,
+                    options_.queue_depth, "collector");
 
   // Shard s owns the contiguous stripe [n*s/S, n*(s+1)/S) of the
   // population. Integer-count merging makes the final estimates
-  // independent of this partition (and of which lane ingests what), so
-  // both ingestion modes below are free to route batches as they like.
-  auto produce_stripe = [&](size_t shard, auto&& emit_batch) {
+  // independent of this partition (and of which lane ingests what).
+  auto produce_stripe = [&](size_t shard) {
     size_t n = population.size();
     size_t begin = n * shard / num_shards;
     size_t end = n * (shard + 1) / num_shards;
@@ -179,9 +162,9 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
         Span<const size_t>(population.data() + begin, end - begin),
         [&](size_t user, proto::ClientSession& session) {
           // Graceful shutdown: stop producing new reports mid-stripe. The
-          // already-emitted batches drain normally, so the partial
-          // round's accounting stays exact; DriveProtocol turns the flag
-          // into a Cancelled status before any server-side decision.
+          // already-pushed batches drain normally, so the partial round's
+          // accounting stays exact; DriveProtocol turns the flag into a
+          // Cancelled status before any server-side decision.
           if (ShutdownRequested()) return false;
           Status answered = answer(session, user, scratch, batch);
           if (!answered.ok()) {
@@ -189,107 +172,27 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
             return true;
           }
           if (batch.size() >= batch_size) {
-            emit_batch(shard, std::move(batch));
+            lanes.Push(shard, std::move(batch));
             batch = proto::ReportBatch();
             batch.Reserve(batch_size);
           }
           return true;
         });
-    if (!batch.empty()) emit_batch(shard, std::move(batch));
+    if (!batch.empty()) lanes.Push(shard, std::move(batch));
     client_errors.fetch_add(errors);
     distinct_words.fetch_add(scratch.distinct_words);
   };
-
-  auto for_each_shard = [&](const std::function<void(size_t)>& body) {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, body);
-    } else {
-      for (size_t shard = 0; shard < num_shards; ++shard) body(shard);
-    }
-  };
-
-  if (!options_.streaming) {
-    // Barrier mode: the worker that answers a stripe also aggregates it,
-    // so a round is answer-then-ingest per report with no overlap across
-    // the two phases beyond what sharding gives.
-    for_each_shard([&](size_t shard) {
-      produce_stripe(shard, [&](size_t s, proto::ReportBatch batch) {
-        uint64_t t0 = NowNs();
-        outcome.agg.ConsumeBatch(s, batch);
-        ingest_hist->Record(NowNs() - t0);
-      });
-    });
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(num_shards, produce_stripe);
   } else {
-    // Streaming mode: producers answer sessions and push batches into
-    // bounded MPSC queues; dedicated drainer threads aggregate
-    // concurrently. Drainer d is the only consumer of queue d and the
-    // only writer of lanes {s : s % D == d}, preserving the one-writer-
-    // per-lane rule without locks on the aggregation state itself.
-    // Drainers must be dedicated threads (pool tasks could be starved by
-    // producers blocked on full queues), but they count against the
-    // thread budget: ceil(threads/2) of them, so a T-thread streaming
-    // round schedules at most 1.5T runnable threads — decode+count is
-    // far cheaper than answering, so half the workers absorb it.
-    size_t num_drainers =
-        std::min(num_shards, (EffectiveThreads() + 1) / 2);
-    if (num_drainers == 0) num_drainers = 1;
-    std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
-    queues.reserve(num_drainers);
-    for (size_t d = 0; d < num_drainers; ++d) {
-      queues.push_back(
-          std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
-      // Live backpressure visibility: queue d mirrors its depth into the
-      // collector_queue_depth_d<d> gauge, so a mid-round scrape shows
-      // which drainers are saturated.
-      queues.back()->set_depth_gauge(QueueDepthGauge(d));
-    }
-    std::vector<std::exception_ptr> drain_errors(num_drainers);
-    std::vector<std::thread> drainers;
-    drainers.reserve(num_drainers);
-    for (size_t d = 0; d < num_drainers; ++d) {
-      drainers.emplace_back([&, d] {
-        // An exception escaping a std::thread body would terminate the
-        // process; capture it for the post-join rethrow. The dying
-        // drainer closes its own queue so producers blocked on a full
-        // queue unblock (their remaining pushes are discarded — fine,
-        // the whole round is being abandoned).
-        try {
-          ShardBatch item;
-          while (queues[d]->Pop(&item)) {
-            uint64_t t0 = NowNs();
-            outcome.agg.ConsumeBatch(item.shard, item.reports);
-            ingest_hist->Record(NowNs() - t0);
-          }
-        } catch (...) {
-          drain_errors[d] = std::current_exception();
-          queues[d]->Close();
-        }
-      });
-    }
-    auto shutdown = [&] {
-      for (auto& queue : queues) queue->Close();
-      for (auto& drainer : drainers) drainer.join();
-    };
-    try {
-      for_each_shard([&](size_t shard) {
-        produce_stripe(shard, [&](size_t s, proto::ReportBatch batch) {
-          queues[s % num_drainers]->Push(ShardBatch{s, std::move(batch)});
-        });
-      });
-    } catch (...) {
-      // Drainers must be joined before the queues (and `outcome`) unwind.
-      shutdown();
-      throw;
-    }
-    shutdown();
-    for (const auto& error : drain_errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    for (size_t shard = 0; shard < num_shards; ++shard) produce_stripe(shard);
   }
 
+  auto latency = lanes.Finish();
+  if (!latency.ok()) return latency.status();
+  outcome.ingest_latency = std::move(*latency);
   outcome.client_errors = client_errors.load();
   outcome.distinct_words = distinct_words.load();
-  outcome.ingest_latency = ingest_hist->Snapshot();
   return outcome;
 }
 
@@ -332,17 +235,11 @@ Result<core::MechanismResult> DriveProtocol(
     std::string encoded_request = proto::EncodeLengthRequest(request);
     auto context = proto::RoundContext::Length(request);
     if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pa, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pa", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
+    auto outcome = RunTimedRound(run_round, split.pa, spec, encoded_request,
+                                 AnswerWith(*context), "Pa", metrics);
+    if (!outcome.ok()) return outcome.status();
     PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishLength(outcome.agg.DebiasedCounts(0)));
+        server->FinishLength(outcome->agg.DebiasedCounts(0)));
   }
   int ell_s = server->frequent_length();
 
@@ -365,18 +262,12 @@ Result<core::MechanismResult> DriveProtocol(
     std::string encoded_request = proto::EncodeSubShapeRequest(request);
     auto context = proto::RoundContext::SubShape(request);
     if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pb, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pb", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
+    auto outcome = RunTimedRound(run_round, split.pb, spec, encoded_request,
+                                 AnswerWith(*context), "Pb", metrics);
+    if (!outcome.ok()) return outcome.status();
     std::vector<std::vector<double>> level_counts(num_levels);
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      level_counts[lvl] = outcome.agg.DebiasedCounts(lvl);
+      level_counts[lvl] = outcome->agg.DebiasedCounts(lvl);
     }
     PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(level_counts));
   }
@@ -398,23 +289,18 @@ Result<core::MechanismResult> DriveProtocol(
     auto context =
         proto::RoundContext::Selection(std::move(request), config.metric);
     if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
     StageSpec spec;
     spec.kind = proto::ReportKind::kSelection;
     spec.domain = candidates->size();
     spec.epsilon = config.epsilon;
     spec.min_level = static_cast<uint64_t>(level);
-    RoundOutcome outcome = RunTimedRound(
+    auto outcome = RunTimedRound(
         run_round, level_groups[static_cast<size_t>(level)], spec,
-        encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
+        encoded_request, AnswerWith(*context),
         "Pc.level" + std::to_string(level), metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
+    if (!outcome.ok()) return outcome.status();
     PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishTrieLevel(outcome.agg.DebiasedCounts(0)));
+        server->FinishTrieLevel(outcome->agg.DebiasedCounts(0)));
   }
 
   // Round P_d / P_e: refinement over the surviving candidates — GRR over
@@ -434,20 +320,14 @@ Result<core::MechanismResult> DriveProtocol(
     auto context = proto::RoundContext::ClassRefinement(std::move(request),
                                                         config.metric);
     if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
     StageSpec spec;
     spec.kind = proto::ReportKind::kClassRefine;
-    spec.domain = ctx.cells();
+    spec.domain = context->cells();
     spec.epsilon = config.epsilon;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pd, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pe", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    result = server->FinishClassRefinement(outcome.agg.DebiasedCounts(0));
+    auto outcome = RunTimedRound(run_round, split.pd, spec, encoded_request,
+                                 AnswerWith(*context), "Pe", metrics);
+    if (!outcome.ok()) return outcome.status();
+    result = server->FinishClassRefinement(outcome->agg.DebiasedCounts(0));
   } else {
     proto::CandidateRequest request;
     request.level = 0;
@@ -457,20 +337,14 @@ Result<core::MechanismResult> DriveProtocol(
     auto context =
         proto::RoundContext::Refinement(std::move(request), config.metric);
     if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
     StageSpec spec;
     spec.kind = proto::ReportKind::kRefinement;
     spec.domain = std::max<size_t>(candidates->size(), 2);
     spec.epsilon = config.epsilon;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pd, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pd", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    result = server->FinishRefinement(outcome.agg.DebiasedCounts(0));
+    auto outcome = RunTimedRound(run_round, split.pd, spec, encoded_request,
+                                 AnswerWith(*context), "Pd", metrics);
+    if (!outcome.ok()) return outcome.status();
+    result = server->FinishRefinement(outcome->agg.DebiasedCounts(0));
   }
 
   if (metrics != nullptr) metrics->total_seconds = Now() - start;
@@ -486,9 +360,8 @@ Result<core::MechanismResult> RoundCoordinator::Collect(
   if (metrics != nullptr) {
     metrics->num_shards = EffectiveShards();
     metrics->num_threads = EffectiveThreads();
-    metrics->num_collectors = 1;
     metrics->queue_depth = options_.queue_depth;
-    metrics->ingest = options_.streaming ? "streaming" : "barrier";
+    metrics->ingest = "streaming";
   }
   return DriveProtocol(
       config_, fleet.num_users(),

@@ -25,12 +25,7 @@ struct CollectorOptions {
   /// Encoded reports buffered per shard before they are handed to the
   /// aggregation side (one queue item / ConsumeBatch call per batch).
   size_t batch_size = 256;
-  /// Streaming ingestion (the default): fleet workers push report batches
-  /// into bounded per-drainer queues while dedicated drainer threads
-  /// aggregate concurrently, so answering and ConsumeBatch overlap.
-  /// false = barrier mode: each worker aggregates its own shard inline.
-  bool streaming = true;
-  /// Batches buffered per drainer queue before Push blocks (streaming
+  /// Batches buffered per drainer queue before Push blocks (ingestion
   /// backpressure); 0 means unbounded.
   size_t queue_depth = 8;
 };
@@ -53,8 +48,8 @@ struct RoundOutcome {
   size_t client_errors = 0;
   /// Per-batch ingest latency (one ConsumeBatch call = one sample, in
   /// nanoseconds). A snapshot — plain movable data — because outcomes are
-  /// returned by value and merged across collection sites; the runner's
-  /// live Histogram never leaves its round.
+  /// returned by value; the runner's live Histogram never leaves its
+  /// round.
   telemetry::HistogramSnapshot ingest_latency;
   /// Word-dependent answers computed (AnswerScratch::distinct_words),
   /// summed over the round's workers: each worker's distinct words while
@@ -65,14 +60,15 @@ struct RoundOutcome {
 };
 
 /// Executes one collection round over `population` for stage `spec`:
-/// whatever the executor (a single coordinator, N collectors whose
-/// outcomes are merged, or the socket daemon broadcasting to live
-/// connections), the returned aggregation must be exactly what a single
-/// unsharded aggregator fed the same reports would hold.
+/// whatever the executor (the in-process coordinator, or the socket daemon
+/// broadcasting to live connections), the returned aggregation must be
+/// exactly what a single unsharded aggregator fed the same reports would
+/// hold. A round that cannot complete (every client gone, a failed
+/// drainer) returns its status, and DriveProtocol stops with it.
 /// `encoded_request` is the round's broadcast message, already encoded —
 /// in-process runners ignore it (their clients share the pre-decoded
 /// RoundContext), the network runner ships it verbatim to every client.
-using RoundRunner = std::function<RoundOutcome(
+using RoundRunner = std::function<Result<RoundOutcome>(
     const std::vector<size_t>& population, const StageSpec& spec,
     const std::string& encoded_request, const AnswerFn& answer)>;
 
@@ -83,7 +79,8 @@ using RoundRunner = std::function<RoundOutcome(
 /// single-threaded pipeline drives. `num_users` is the whole population
 /// (the stage split is the server's only draw from the shared seed).
 /// Per-round metrics (stage timings, accepted/rejected/bytes, client
-/// errors) are recorded into `metrics` when non-null.
+/// errors) are recorded into `metrics` when non-null. A round's error
+/// status is returned as is, before any server-side decision.
 ///
 /// Graceful shutdown: DriveProtocol polls common/shutdown.h's flag after
 /// every round (and RunRound's stripe workers poll it per user), so a
@@ -94,11 +91,12 @@ Result<core::MechanismResult> DriveProtocol(
     const core::MechanismConfig& config, size_t num_users,
     const RoundRunner& run_round, CollectorMetrics* metrics = nullptr);
 
-/// One collection site: answers rounds over (a slice of) the fleet on its
-/// thread pool and ingests reports through a lock-free ShardedAggregator.
-/// Aggregation is exact integer merging, so for a fixed fleet seed the
-/// result is byte-identical to core::PrivShape::Run on the same words, for
-/// any {shard, thread, batch, queue-depth, collector} configuration.
+/// The in-process collector: answers rounds over the fleet on its thread
+/// pool and ingests reports through IngestLanes into a lock-free
+/// ShardedAggregator. Aggregation is exact integer merging, so for a
+/// fixed fleet seed the result is byte-identical to core::PrivShape::Run
+/// on the same words, for any {shard, thread, batch, queue-depth}
+/// configuration.
 class RoundCoordinator {
  public:
   /// `pool` must outlive the coordinator; pass nullptr to run every round
@@ -112,20 +110,14 @@ class RoundCoordinator {
   Result<core::MechanismResult> Collect(const ClientFleet& fleet,
                                         CollectorMetrics* metrics = nullptr);
 
-  /// Broadcasts one round to `population` and ingests the answers.
-  ///
-  /// Streaming mode: population stripes are answered by pool workers that
-  /// push encoded batches into bounded MPSC queues, drained concurrently
-  /// by dedicated aggregation threads (one queue per drainer, lanes
-  /// striped across drainers so each lane keeps a single writer). Barrier
-  /// mode: each worker aggregates its own stripe inline. Both modes
-  /// produce identical aggregation state.
-  RoundOutcome RunRound(const ClientFleet& fleet,
-                        const std::vector<size_t>& population,
-                        const StageSpec& spec, const AnswerFn& answer) const;
-
-  const core::MechanismConfig& config() const { return config_; }
-  const CollectorOptions& options() const { return options_; }
+  /// Broadcasts one round to `population` and ingests the answers: pool
+  /// workers answer population stripes and push encoded batches into
+  /// IngestLanes, whose drainers aggregate concurrently. Fails only if a
+  /// drainer failed.
+  Result<RoundOutcome> RunRound(const ClientFleet& fleet,
+                                const std::vector<size_t>& population,
+                                const StageSpec& spec,
+                                const AnswerFn& answer) const;
 
   size_t EffectiveShards() const;
   size_t EffectiveThreads() const;

@@ -52,7 +52,7 @@ class ShardedAggregator {
 
   /// Same, over a flat batch buffer: each report is decoded from an
   /// in-place view of the batch, so ingestion copies no report bytes.
-  /// This is the form the streaming queues carry.
+  /// This is the form the ingest lanes carry.
   PS_REPORT_PATH
   void ConsumeBatch(size_t shard, const proto::ReportBatch& reports);
 

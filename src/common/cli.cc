@@ -130,6 +130,21 @@ bool CliArgs::Has(const std::string& name) const {
   return Lookup(name, &v);
 }
 
+Status CliArgs::RejectUnknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string accepted;
+    for (std::string_view flag : known) {
+      accepted += accepted.empty() ? "--" : ", --";
+      accepted += flag;
+    }
+    return Status::InvalidArgument("unknown flag --" + name +
+                                   "; accepted flags: " + accepted);
+  }
+  return Status::Ok();
+}
+
 size_t ThreadsFromArgs(const CliArgs& args, size_t def) {
   int threads = args.GetInt("threads", static_cast<int>(def));
   if (threads < 0) return def;

@@ -1,8 +1,10 @@
 #ifndef PRIVSHAPE_COMMON_CLI_H_
 #define PRIVSHAPE_COMMON_CLI_H_
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -42,6 +44,12 @@ class CliArgs {
   std::string GetString(const std::string& name,
                         const std::string& def) const;
   bool Has(const std::string& name) const;
+
+  /// InvalidArgument naming the first command-line flag not in `known`
+  /// (and listing the accepted ones), so a typo, a removed flag, or
+  /// `--help` fails loudly instead of silently running the defaults.
+  /// Environment fallbacks are not flags and are never rejected.
+  Status RejectUnknown(std::initializer_list<std::string_view> known) const;
 
  private:
   /// Flag value, or env fallback, or empty optional semantics via bool.

@@ -390,6 +390,57 @@ TEST(CollectorDaemonFaultTest, StallPastDeadlineIsDroppedRoundCompletes) {
   EXPECT_GT(run.metrics.rounds[0].client_errors, 0u);
 }
 
+TEST(CollectorDaemonFaultTest, LastClientGoneFailsWithMetricsFilled) {
+  // The fatal path: the only client serves round P_a and hangs up, so a
+  // later round finds nobody to ask. Serve must return FailedPrecondition
+  // (never throw, never hang) with the metrics of the rounds that ran.
+  MechanismConfig config = TestConfig();
+  DaemonOptions options;
+  options.port = 0;
+  options.min_clients = 1;
+  options.num_shards = 4;
+  options.num_drainers = 2;
+  options.accept_timeout_seconds = 60.0;
+  options.round_deadline_seconds = 60.0;
+  CollectorDaemon daemon(config, kUsers, options);
+  ASSERT_TRUE(daemon.Start().ok());
+  Result<core::MechanismResult> served = Status::Internal("not run");
+  CollectorMetrics metrics;
+  std::thread serve([&] { served = daemon.Serve(&metrics); });
+  size_t rounds = RunScripted(
+      daemon.port(), [](int fd, const net::RoundBeginMsg& round) {
+        // Finish P_a honestly with every assigned user failed, then
+        // return an error so RunScripted closes the connection.
+        net::RoundDoneMsg done;
+        done.round_id = round.round_id;
+        done.answered = 0;
+        done.client_errors = round.users.size();
+        PRIVSHAPE_RETURN_IF_ERROR(SendFrameTo(
+            fd, net::MsgType::kRoundDone, net::EncodeRoundDone(done)));
+        return Status::Internal("hang up after P_a");
+      });
+  serve.join();
+  EXPECT_EQ(rounds, 1u);
+
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(served.status().message().find("every client disconnected"),
+            std::string::npos)
+      << served.status();
+  EXPECT_EQ(metrics.ingest, "socket");
+  EXPECT_EQ(metrics.num_shards, 4u);
+  EXPECT_EQ(metrics.connections, 1u);
+  EXPECT_EQ(metrics.disconnects, 1u);
+  // P_a ran to its barrier and was recorded, its users all client errors.
+  // Whether the hang-up is seen before or during the next round, the
+  // round that found nobody is never recorded as a completed one.
+  ASSERT_FALSE(metrics.rounds.empty());
+  EXPECT_EQ(metrics.rounds[0].stage, "Pa");
+  EXPECT_EQ(metrics.rounds[0].accepted, 0u);
+  EXPECT_EQ(metrics.rounds[0].client_errors, metrics.rounds[0].users);
+  EXPECT_EQ(daemon.stats().handshakes, 1u);
+}
+
 TEST(CollectorDaemonFaultTest, CleanRerunAfterFaultsMatchesCore) {
   // Faulty runs leave no residue: a fresh daemon + clean loadgen right
   // after the fault suite still satisfies the byte-identical contract.

@@ -1,8 +1,8 @@
-/// Failure modes and exactness of the streaming ingestion pipeline and
-/// the multi-collector merge: client errors mid-stream, backpressure
-/// under tiny queue depths, and the determinism contract (byte-identical
-/// shapes AND exact accepted/rejected/bytes tallies) across
-/// {queue depth} x {collector count} vs. the barrier path and the
+/// Failure modes and exactness of the streaming ingestion lanes and the
+/// exact aggregator merge: client errors mid-stream, backpressure under
+/// tiny queue depths, and the determinism contract (byte-identical shapes
+/// AND exact accepted/rejected/bytes tallies) across
+/// {queue depth} x {shard count} vs. an inline single-shard run and the
 /// single-threaded core pipeline.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -28,9 +27,7 @@ using collector::AnswerFn;
 using collector::ClientFleet;
 using collector::CollectorMetrics;
 using collector::CollectorOptions;
-using collector::MultiCollector;
 using collector::RoundCoordinator;
-using collector::RoundOutcome;
 using collector::StageSpec;
 using core::MechanismConfig;
 
@@ -101,7 +98,6 @@ TEST(StreamingFailureTest, ClientErrorsMidStreamAreCountedNotIngested) {
   ClientFleet fleet = PlantedFleet(kUsers, config);
   ThreadPool pool(4);
   CollectorOptions options;
-  options.streaming = true;
   options.num_shards = 8;
   options.batch_size = 16;
   options.queue_depth = 2;
@@ -120,16 +116,17 @@ TEST(StreamingFailureTest, ClientErrorsMidStreamAreCountedNotIngested) {
     }
     return healthy(session, user, scratch, out);
   };
-  RoundOutcome outcome =
+  auto outcome =
       coordinator.RunRound(fleet, population, LengthSpec(config), flaky);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   size_t expected_errors = 0;
   for (size_t user = 0; user < kUsers; ++user) {
     if (user % 7 == 3) ++expected_errors;
   }
-  EXPECT_EQ(outcome.client_errors, expected_errors);
-  EXPECT_EQ(outcome.agg.accepted(), kUsers - expected_errors);
-  EXPECT_EQ(outcome.agg.rejected(), 0u);
+  EXPECT_EQ(outcome->client_errors, expected_errors);
+  EXPECT_EQ(outcome->agg.accepted(), kUsers - expected_errors);
+  EXPECT_EQ(outcome->agg.rejected(), 0u);
 }
 
 TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
@@ -141,33 +138,32 @@ TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
   StageSpec spec = LengthSpec(config);
   AnswerFn answer = LengthAnswer(config);
 
-  // Reference: barrier ingestion, no queues involved.
-  CollectorOptions barrier;
-  barrier.streaming = false;
-  barrier.num_shards = 4;
-  ThreadPool pool(4);
-  RoundOutcome expected =
-      RoundCoordinator(config, barrier, &pool)
-          .RunRound(fleet, population, spec, answer);
+  // Reference: one lane, one drainer, every stripe answered inline on
+  // the calling thread — no concurrency on the producing side.
+  CollectorOptions single;
+  single.num_shards = 1;
+  auto expected = RoundCoordinator(config, single, nullptr)
+                      .RunRound(fleet, population, spec, answer);
+  ASSERT_TRUE(expected.ok()) << expected.status();
 
-  // Hostile streaming config: many producers per drainer queue,
-  // depth-1 queues, batch size 1 — every Push can block.
+  // Hostile config: many producers per drainer queue, depth-1 queues,
+  // batch size 1 — every Push can block.
+  ThreadPool pool(4);
   CollectorOptions hostile;
-  hostile.streaming = true;
   hostile.num_shards = 32;
   hostile.batch_size = 1;
   hostile.queue_depth = 1;
-  RoundOutcome streamed =
-      RoundCoordinator(config, hostile, &pool)
-          .RunRound(fleet, population, spec, answer);
+  auto streamed = RoundCoordinator(config, hostile, &pool)
+                      .RunRound(fleet, population, spec, answer);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
 
-  EXPECT_EQ(streamed.agg.accepted(), expected.agg.accepted());
-  EXPECT_EQ(streamed.agg.rejected(), expected.agg.rejected());
-  EXPECT_EQ(streamed.agg.bytes_ingested(), expected.agg.bytes_ingested());
-  EXPECT_EQ(streamed.client_errors, expected.client_errors);
+  EXPECT_EQ(streamed->agg.accepted(), expected->agg.accepted());
+  EXPECT_EQ(streamed->agg.rejected(), expected->agg.rejected());
+  EXPECT_EQ(streamed->agg.bytes_ingested(), expected->agg.bytes_ingested());
+  EXPECT_EQ(streamed->client_errors, expected->client_errors);
   // Not just totals: the merged per-value counts are identical.
-  EXPECT_EQ(streamed.agg.MergedLevel(0).raw_counts(),
-            expected.agg.MergedLevel(0).raw_counts());
+  EXPECT_EQ(streamed->agg.MergedLevel(0).raw_counts(),
+            expected->agg.MergedLevel(0).raw_counts());
 }
 
 // --- Block answering: stripes that are not multiples of the block -------
@@ -269,26 +265,27 @@ TEST(StreamingFailureTest, OddStripesKeepExactTalliesForEveryWordRound) {
         }
         want_distinct += seen.size();
       }
-      for (bool streaming : {false, true}) {
+      // Stripes answered inline on the calling thread, and on the pool.
+      for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
         CollectorOptions options;
-        options.streaming = streaming;
         options.num_shards = kShards;
         options.batch_size = 4;
-        RoundOutcome got = RoundCoordinator(config, options, &pool)
-                               .RunRound(fleet, population, spec, flaky);
-        EXPECT_EQ(got.client_errors, want_errors);
-        EXPECT_EQ(got.agg.accepted(), want.accepted());
-        EXPECT_EQ(got.agg.rejected(), 0u);
-        EXPECT_EQ(got.agg.MergedLevel(0).raw_counts(), want.raw_counts());
-        EXPECT_EQ(got.distinct_words, want_distinct);
+        auto got = RoundCoordinator(config, options, workers)
+                       .RunRound(fleet, population, spec, flaky);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->client_errors, want_errors);
+        EXPECT_EQ(got->agg.accepted(), want.accepted());
+        EXPECT_EQ(got->agg.rejected(), 0u);
+        EXPECT_EQ(got->agg.MergedLevel(0).raw_counts(), want.raw_counts());
+        EXPECT_EQ(got->distinct_words, want_distinct);
       }
     }
   }
 }
 
-// --- Determinism contract: streaming x multi-collector ------------------
+// --- Determinism contract: queue depth x shard count --------------------
 
-TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
+TEST(StreamingDeterminismTest, QueueDepthsAndShardCountsAreExact) {
   MechanismConfig config = TestConfig();
   const size_t kUsers = 3000;
   ClientFleet fleet = PlantedFleet(kUsers, config);
@@ -297,39 +294,37 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
   auto expected = reference.Run(fleet.MaterializeWords());
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  ThreadPool pool(4);
-  // The barrier path is the tallies baseline the streaming runs must hit.
-  CollectorOptions barrier_options;
-  barrier_options.streaming = false;
-  barrier_options.num_shards = 8;
-  CollectorMetrics barrier_metrics;
-  auto barrier = RoundCoordinator(config, barrier_options, &pool)
-                     .Collect(fleet, &barrier_metrics);
-  ASSERT_TRUE(barrier.ok()) << barrier.status();
-  ExpectSameResult(*expected, *barrier);
+  // The tallies baseline: one lane, one drainer, stripes answered inline.
+  CollectorOptions single_options;
+  single_options.num_shards = 1;
+  CollectorMetrics single_metrics;
+  auto single = RoundCoordinator(config, single_options, nullptr)
+                    .Collect(fleet, &single_metrics);
+  ASSERT_TRUE(single.ok()) << single.status();
+  ExpectSameResult(*expected, *single);
 
-  // Queue depths {1, 8, 0 = unbounded} x collectors {1, 3}.
+  ThreadPool pool(4);
+  // Queue depths {1, 8, 0 = unbounded} x shards {1, 4, 16}.
   for (size_t depth : {size_t{1}, size_t{8}, size_t{0}}) {
-    for (size_t collectors : {size_t{1}, size_t{3}}) {
+    for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
       CollectorOptions options;
-      options.streaming = true;
-      options.num_shards = 8;
+      options.num_shards = shards;
       options.queue_depth = depth;
       options.batch_size = 64;
       CollectorMetrics metrics;
-      MultiCollector sites(config, options, &pool, collectors);
-      auto got = sites.Collect(fleet, &metrics);
+      auto got =
+          RoundCoordinator(config, options, &pool).Collect(fleet, &metrics);
       ASSERT_TRUE(got.ok())
-          << got.status() << " depth=" << depth << " c=" << collectors;
+          << got.status() << " depth=" << depth << " shards=" << shards;
       ExpectSameResult(*expected, *got);
 
-      // Exact round-by-round tallies vs. the barrier path: same stages,
-      // same accepted/rejected/bytes per stage — streaming and merging
-      // change scheduling, never counts.
-      ASSERT_EQ(metrics.rounds.size(), barrier_metrics.rounds.size());
+      // Exact round-by-round tallies vs. the single-lane run: same
+      // stages, same accepted/rejected/bytes per stage — lanes, queues
+      // and threads change scheduling, never counts.
+      ASSERT_EQ(metrics.rounds.size(), single_metrics.rounds.size());
       for (size_t r = 0; r < metrics.rounds.size(); ++r) {
         const auto& got_round = metrics.rounds[r];
-        const auto& want_round = barrier_metrics.rounds[r];
+        const auto& want_round = single_metrics.rounds[r];
         EXPECT_EQ(got_round.stage, want_round.stage);
         EXPECT_EQ(got_round.users, want_round.users) << got_round.stage;
         EXPECT_EQ(got_round.accepted, want_round.accepted)
@@ -341,7 +336,7 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
         EXPECT_EQ(got_round.bytes_up, want_round.bytes_up)
             << got_round.stage;
       }
-      EXPECT_EQ(metrics.num_collectors, collectors);
+      EXPECT_EQ(metrics.num_shards, shards);
       EXPECT_EQ(metrics.ingest, "streaming");
     }
   }
@@ -353,7 +348,6 @@ TEST(StreamingDeterminismTest, InlineExecutionStillStreams) {
   MechanismConfig config = TestConfig();
   ClientFleet fleet = PlantedFleet(1500, config);
   CollectorOptions options;
-  options.streaming = true;
   options.num_shards = 4;
   options.queue_depth = 1;
   auto inline_run =
@@ -365,7 +359,10 @@ TEST(StreamingDeterminismTest, InlineExecutionStillStreams) {
   ExpectSameResult(*inline_run, *pooled);
 }
 
-// --- Multi-collector merge ----------------------------------------------
+// --- Exact aggregator merge ---------------------------------------------
+//
+// ShardedAggregator::Merge is the exact-merge primitive a multi-site
+// deployment would fold its sites' rounds with.
 
 TEST(MultiCollectorTest, MergedAggregatorEqualsSingleSite) {
   MechanismConfig config = TestConfig();
@@ -380,9 +377,10 @@ TEST(MultiCollectorTest, MergedAggregatorEqualsSingleSite) {
   CollectorOptions options;
   options.num_shards = 4;
   RoundCoordinator site(config, options, &pool);
-  RoundOutcome whole = site.RunRound(fleet, population, spec, answer);
+  auto whole = site.RunRound(fleet, population, spec, answer);
+  ASSERT_TRUE(whole.ok()) << whole.status();
 
-  // Split the population across 3 sites with different shard counts,
+  // Split the population across 3 rounds with different shard counts,
   // then merge: identical counts.
   std::vector<size_t> slice_a(population.begin(), population.begin() + 700);
   std::vector<size_t> slice_b(population.begin() + 700,
@@ -390,19 +388,20 @@ TEST(MultiCollectorTest, MergedAggregatorEqualsSingleSite) {
   std::vector<size_t> slice_c(population.begin() + 1500, population.end());
   CollectorOptions other;
   other.num_shards = 7;
-  RoundOutcome a = site.RunRound(fleet, slice_a, spec, answer);
-  RoundOutcome b = RoundCoordinator(config, other, &pool)
-                       .RunRound(fleet, slice_b, spec, answer);
-  RoundOutcome c = site.RunRound(fleet, slice_c, spec, answer);
-  ASSERT_TRUE(a.agg.Merge(b.agg).ok());
-  ASSERT_TRUE(a.agg.Merge(c.agg).ok());
+  auto a = site.RunRound(fleet, slice_a, spec, answer);
+  auto b = RoundCoordinator(config, other, &pool)
+               .RunRound(fleet, slice_b, spec, answer);
+  auto c = site.RunRound(fleet, slice_c, spec, answer);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_TRUE(a->agg.Merge(b->agg).ok());
+  ASSERT_TRUE(a->agg.Merge(c->agg).ok());
 
-  EXPECT_EQ(a.agg.accepted(), whole.agg.accepted());
-  EXPECT_EQ(a.agg.rejected(), whole.agg.rejected());
-  EXPECT_EQ(a.agg.bytes_ingested(), whole.agg.bytes_ingested());
-  EXPECT_EQ(a.agg.MergedLevel(0).raw_counts(),
-            whole.agg.MergedLevel(0).raw_counts());
-  EXPECT_EQ(a.agg.DebiasedCounts(0), whole.agg.DebiasedCounts(0));
+  EXPECT_EQ(a->agg.accepted(), whole->agg.accepted());
+  EXPECT_EQ(a->agg.rejected(), whole->agg.rejected());
+  EXPECT_EQ(a->agg.bytes_ingested(), whole->agg.bytes_ingested());
+  EXPECT_EQ(a->agg.MergedLevel(0).raw_counts(),
+            whole->agg.MergedLevel(0).raw_counts());
+  EXPECT_EQ(a->agg.DebiasedCounts(0), whole->agg.DebiasedCounts(0));
 }
 
 TEST(MultiCollectorTest, MergeRejectsMismatchedStages) {
@@ -417,18 +416,6 @@ TEST(MultiCollectorTest, MergeRejectsMismatchedStages) {
   EXPECT_FALSE(a.Merge(b).ok());
   collector::ShardedAggregator c(length, 3);
   EXPECT_TRUE(a.Merge(c).ok());
-}
-
-TEST(MultiCollectorTest, RecoversPlantedShapeWithThreeSites) {
-  MechanismConfig config = TestConfig();
-  ClientFleet fleet = PlantedFleet(6000, config);
-  ThreadPool pool(2);
-  MultiCollector sites(config, {}, &pool, 3);
-  auto result = sites.Collect(fleet);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->frequent_length, 3);
-  ASSERT_GE(result->shapes.size(), 1u);
-  EXPECT_EQ(SequenceToString(result->shapes[0].shape), "abc");
 }
 
 }  // namespace

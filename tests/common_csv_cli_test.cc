@@ -335,5 +335,41 @@ TEST(CliTest, GetDoubleStatusReportsMalformed) {
   EXPECT_DOUBLE_EQ(*missing, 2.0);
 }
 
+TEST(CliTest, RejectUnknownAcceptsEveryKnownForm) {
+  const char* argv[] = {"prog", "--users=5", "--check", "--queue-depth", "2",
+                        "positional"};
+  CliArgs args(6, const_cast<char**>(argv));
+  EXPECT_TRUE(args.RejectUnknown({"users", "check", "queue-depth"}).ok());
+  // Known flags that were not given are fine too.
+  EXPECT_TRUE(
+      args.RejectUnknown({"users", "check", "queue-depth", "json"}).ok());
+}
+
+TEST(CliTest, RejectUnknownNamesTheFlag) {
+  const char* argv[] = {"prog", "--users=5", "--ingest", "barrier"};
+  CliArgs args(4, const_cast<char**>(argv));
+  Status status = args.RejectUnknown({"users", "threads"});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown flag --ingest"),
+            std::string::npos);
+  // The message lists what is accepted, so it doubles as --help.
+  EXPECT_NE(status.message().find("--users, --threads"), std::string::npos);
+}
+
+TEST(CliTest, RejectUnknownCatchesBareHelp) {
+  const char* argv[] = {"prog", "--help"};
+  CliArgs args(2, const_cast<char**>(argv));
+  EXPECT_FALSE(args.RejectUnknown({"users"}).ok());
+}
+
+TEST(CliTest, RejectUnknownIgnoresEnvFallbacks) {
+  setenv("PRIVSHAPE_NOT_A_FLAG", "1", 1);
+  const char* argv[] = {"prog"};
+  CliArgs args(1, const_cast<char**>(argv));
+  EXPECT_TRUE(args.RejectUnknown({"users"}).ok());
+  unsetenv("PRIVSHAPE_NOT_A_FLAG");
+}
+
 }  // namespace
 }  // namespace privshape
