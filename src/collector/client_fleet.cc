@@ -46,8 +46,8 @@ ClientFleet ClientFleet::FromWords(std::vector<Sequence> words,
 }
 
 proto::ClientSession ClientFleet::MakeSession(size_t user) const {
-  return proto::ClientSession(word_fn_(user), metric_,
-                              DeriveSeed(seed_, user), LabelFor(user));
+  return proto::ClientSession(word_fn_(user), DeriveSeed(seed_, user),
+                              LabelFor(user));
 }
 
 void ClientFleet::MakeSessions(
@@ -61,7 +61,7 @@ void ClientFleet::MakeSessions(
   block->clear();
   block->reserve(kSessionBlock);
   for (size_t user : users) {
-    block->emplace_back(word_fn_(user), metric_, DeriveSeed(seed_, user),
+    block->emplace_back(word_fn_(user), DeriveSeed(seed_, user),
                         LabelFor(user));
   }
   // Fresh sessions always satisfy SeedEngines' precondition; a failure

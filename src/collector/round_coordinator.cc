@@ -1,15 +1,11 @@
 #include "collector/round_coordinator.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
 
 #include "collector/ingest_lanes.h"
 #include "common/shutdown.h"
-#include "core/population.h"
-#include "core/subshape.h"
-#include "protocol/messages.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -203,150 +199,31 @@ Result<core::MechanismResult> DriveProtocol(
   if (num_users == 0) {
     return Status::InvalidArgument("empty fleet");
   }
-  auto server = core::PrivShapeServer::Create(config);
-  if (!server.ok()) return server.status();
   if (metrics != nullptr) metrics->num_users = num_users;
-
-  // Same split, same shared-engine usage as the core pipeline: the stage
-  // assignment is the server's only draw from the shared seed.
-  Rng rng(config.seed);
-  core::FourWaySplit split =
-      core::SplitFourWay(num_users, config.frac_a, config.frac_b,
-                         config.frac_c, config.frac_d, &rng);
-
-  // Round P_a: frequent length. The coordinator pre-builds the shared
-  // RoundContext once (GRR tables and all); every client answers against
-  // it with per-worker scratch — the zero-allocation report path.
-  {
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kLength;
-    spec.domain = static_cast<size_t>(config.ell_high - config.ell_low + 1);
-    spec.epsilon = config.epsilon;
-    if (split.pa.empty()) {
-      return Status::InvalidArgument(
-          "length estimation requires a non-empty population");
-    }
-    proto::LengthRequest request;
-    request.ell_low = config.ell_low;
-    request.ell_high = config.ell_high;
-    request.epsilon = config.epsilon;
-    // Encoded once per round, like every broadcast: these are the bytes a
-    // wire deployment ships to each P_a user, and what bytes_down counts.
-    std::string encoded_request = proto::EncodeLengthRequest(request);
-    auto context = proto::RoundContext::Length(request);
-    if (!context.ok()) return context.status();
-    auto outcome = RunTimedRound(run_round, split.pa, spec, encoded_request,
-                                 AnswerWith(*context), "Pa", metrics);
-    if (!outcome.ok()) return outcome.status();
-    PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishLength(outcome->agg.DebiasedCounts(0)));
-  }
-  int ell_s = server->frequent_length();
-
-  // Round P_b: frequent sub-shape transitions.
-  size_t num_levels = server->NumSubShapeLevels();
-  if (num_levels == 0) {
-    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes({}));
-  } else {
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kSubShape;
-    spec.domain = core::SubShapeDomainSize(config.t, config.allow_repeats);
-    spec.epsilon = config.epsilon;
-    spec.min_level = 1;
-    spec.num_levels = num_levels;
-    proto::SubShapeRequest request;
-    request.alphabet = config.t;
-    request.ell_s = ell_s;
-    request.epsilon = config.epsilon;
-    request.allow_repeats = config.allow_repeats;
-    std::string encoded_request = proto::EncodeSubShapeRequest(request);
-    auto context = proto::RoundContext::SubShape(request);
-    if (!context.ok()) return context.status();
-    auto outcome = RunTimedRound(run_round, split.pb, spec, encoded_request,
-                                 AnswerWith(*context), "Pb", metrics);
-    if (!outcome.ok()) return outcome.status();
-    std::vector<std::vector<double>> level_counts(num_levels);
-    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      level_counts[lvl] = outcome->agg.DebiasedCounts(lvl);
-    }
-    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(level_counts));
-  }
-
-  // Rounds P_c: one candidate broadcast + EM selection per trie level.
-  std::vector<std::vector<size_t>> level_groups =
-      core::PartitionGroups(split.pc, static_cast<size_t>(ell_s));
-  for (int level = 0; level < ell_s; ++level) {
-    auto candidates = server->BeginTrieLevel(level);
-    if (!candidates.ok()) return candidates.status();
-    proto::CandidateRequest request;
-    request.level = static_cast<uint64_t>(level);
-    request.epsilon = config.epsilon;
-    request.candidates = *candidates;
-    // Still encoded once per round: the broadcast bytes are what a wire
-    // deployment ships, and the metrics account for them — but no client
-    // decodes it anymore; they all share the pre-decoded context.
-    std::string encoded_request = proto::EncodeCandidateRequest(request);
-    auto context =
-        proto::RoundContext::Selection(std::move(request), config.metric);
-    if (!context.ok()) return context.status();
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kSelection;
-    spec.domain = candidates->size();
-    spec.epsilon = config.epsilon;
-    spec.min_level = static_cast<uint64_t>(level);
-    auto outcome = RunTimedRound(
-        run_round, level_groups[static_cast<size_t>(level)], spec,
-        encoded_request, AnswerWith(*context),
-        "Pc.level" + std::to_string(level), metrics);
-    if (!outcome.ok()) return outcome.status();
-    PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishTrieLevel(outcome->agg.DebiasedCounts(0)));
-  }
-
-  // Round P_d / P_e: refinement over the surviving candidates — GRR over
-  // candidate indices for clustering (P_d), or the OUE candidate x class
-  // round (P_e, §V-E) when the mechanism runs the classification task.
-  auto candidates = server->BeginRefinement();
-  if (!candidates.ok()) return candidates.status();
-  Result<core::MechanismResult> result = Status::Internal("unreachable");
-  if (config.disable_refinement) {
-    result = server->FinishWithoutRefinement();
-  } else if (config.num_classes > 0) {
-    proto::ClassRefineRequest request;
-    request.epsilon = config.epsilon;
-    request.num_classes = static_cast<uint64_t>(config.num_classes);
-    request.candidates = *candidates;
-    std::string encoded_request = proto::EncodeClassRefineRequest(request);
-    auto context = proto::RoundContext::ClassRefinement(std::move(request),
-                                                        config.metric);
-    if (!context.ok()) return context.status();
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kClassRefine;
-    spec.domain = context->cells();
-    spec.epsilon = config.epsilon;
-    auto outcome = RunTimedRound(run_round, split.pd, spec, encoded_request,
-                                 AnswerWith(*context), "Pe", metrics);
-    if (!outcome.ok()) return outcome.status();
-    result = server->FinishClassRefinement(outcome->agg.DebiasedCounts(0));
-  } else {
-    proto::CandidateRequest request;
-    request.level = 0;
-    request.epsilon = config.epsilon;
-    request.candidates = *candidates;
-    std::string encoded_request = proto::EncodeCandidateRequest(request);
-    auto context =
-        proto::RoundContext::Refinement(std::move(request), config.metric);
-    if (!context.ok()) return context.status();
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kRefinement;
-    spec.domain = std::max<size_t>(candidates->size(), 2);
-    spec.epsilon = config.epsilon;
-    auto outcome = RunTimedRound(run_round, split.pd, spec, encoded_request,
-                                 AnswerWith(*context), "Pd", metrics);
-    if (!outcome.ok()) return outcome.status();
-    result = server->FinishRefinement(outcome->agg.DebiasedCounts(0));
-  }
-
+  // The collector's executor: every round runs timed through `run_round`,
+  // its clients answering against the sequence's pre-built context.
+  auto result = core::RunRounds(
+      config, num_users,
+      [&](const core::RoundRequest& round)
+          -> Result<std::vector<std::vector<double>>> {
+        const proto::RoundContext& ctx = round.context;
+        StageSpec spec;
+        spec.kind = ctx.kind();
+        spec.domain = ctx.domain();
+        spec.epsilon = ctx.epsilon();
+        spec.min_level = ctx.min_level();
+        spec.num_levels = ctx.num_levels();
+        auto outcome =
+            RunTimedRound(run_round, round.population, spec,
+                          round.encoded_request, AnswerWith(ctx),
+                          round.stage, metrics);
+        if (!outcome.ok()) return outcome.status();
+        std::vector<std::vector<double>> counts(spec.num_levels);
+        for (size_t lvl = 0; lvl < spec.num_levels; ++lvl) {
+          counts[lvl] = outcome->agg.DebiasedCounts(lvl);
+        }
+        return counts;
+      });
   if (metrics != nullptr) metrics->total_seconds = Now() - start;
   return result;
 }

@@ -74,10 +74,11 @@ using RoundRunner = std::function<Result<RoundOutcome>(
 
 /// Drives the full Algorithm 2 protocol (P_a -> P_b -> ell_S x P_c ->
 /// P_d, or the OUE classification round P_e when config.num_classes > 0
-/// -> post-processing) against `run_round`, delegating every server-side
-/// decision to core::PrivShapeServer — the same state machine the
-/// single-threaded pipeline drives. `num_users` is the whole population
-/// (the stage split is the server's only draw from the shared seed).
+/// -> post-processing) against `run_round`: this is core::RunRounds — the
+/// one round sequence, which core::PrivShape::Run runs in process — with
+/// every round executed and timed through `run_round`. `num_users` is the
+/// whole population (the stage split is the server's only draw from the
+/// shared seed).
 /// Per-round metrics (stage timings, accepted/rejected/bytes, client
 /// errors) are recorded into `metrics` when non-null. A round's error
 /// status is returned as is, before any server-side decision.

@@ -18,13 +18,6 @@ ShardedAggregator::ShardedAggregator(const StageSpec& spec,
 
 PS_REPORT_PATH
 void ShardedAggregator::ConsumeBatch(size_t shard,
-                                     Span<const std::string> reports) {
-  Shard& lane = shards_[shard % shards_.size()];
-  for (const std::string& encoded : reports) ConsumeOne(lane, encoded);
-}
-
-PS_REPORT_PATH
-void ShardedAggregator::ConsumeBatch(size_t shard,
                                      const proto::ReportBatch& reports) {
   Shard& lane = shards_[shard % shards_.size()];
   for (size_t i = 0; i < reports.size(); ++i) {

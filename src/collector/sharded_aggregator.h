@@ -2,12 +2,10 @@
 #define PRIVSHAPE_COLLECTOR_SHARDED_AGGREGATOR_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/analysis_annotations.h"
-#include "common/span.h"
 #include "common/status.h"
 #include "protocol/session.h"
 
@@ -43,16 +41,12 @@ class ShardedAggregator {
   size_t num_shards() const { return shards_.size(); }
   const StageSpec& spec() const { return spec_; }
 
-  /// Ingests a batch of encoded reports into one shard. Undecodable
-  /// reports and reports outside the level window count as rejected;
-  /// wrong kinds and out-of-domain values are rejected by the underlying
-  /// ReportAggregator. Not synchronized: one thread per shard at a time.
-  PS_REPORT_PATH
-  void ConsumeBatch(size_t shard, Span<const std::string> reports);
-
-  /// Same, over a flat batch buffer: each report is decoded from an
-  /// in-place view of the batch, so ingestion copies no report bytes.
-  /// This is the form the ingest lanes carry.
+  /// Ingests a batch of encoded reports into one shard, each decoded
+  /// from an in-place view of the flat batch buffer (no report bytes are
+  /// copied). Undecodable reports and reports outside the level window
+  /// count as rejected; wrong kinds and out-of-domain values are rejected
+  /// by the underlying ReportAggregator. Not synchronized: one thread per
+  /// shard at a time.
   PS_REPORT_PATH
   void ConsumeBatch(size_t shard, const proto::ReportBatch& reports);
 
@@ -85,7 +79,7 @@ class ShardedAggregator {
     size_t bytes = 0;
   };
 
-  /// Decode + route + count of one encoded report (both batch forms).
+  /// Decode + route + count of one encoded report.
   void ConsumeOne(Shard& lane, std::string_view encoded);
 
   StageSpec spec_;

@@ -236,8 +236,11 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Standard (or scaled) normal draw.
+  /// Standard (or scaled) normal draw. A zero stddev is a point mass:
+  /// it returns `mean` without a draw (std::normal_distribution requires
+  /// stddev > 0).
   double Gaussian(double mean = 0.0, double stddev = 1.0) {
+    if (stddev == 0.0) return mean;
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

@@ -1,12 +1,12 @@
 #include "core/baseline.h"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
-#include "core/em_selection.h"
-#include "core/length_estimation.h"
 #include "core/population.h"
+#include "core/rounds.h"
 #include "trie/trie.h"
 
 namespace privshape::core {
@@ -27,10 +27,35 @@ Result<MechanismResult> BaselineMechanism::Run(
   const std::vector<size_t>& pa = split.pa;
   const std::vector<size_t>& pb = split.pc;  // trie population
 
-  auto ell = EstimateFrequentLength(sequences, pa, config_.ell_low,
-                                    config_.ell_high, config_.epsilon, &rng);
-  if (!ell.ok()) return ell.status();
-  int ell_s = *ell;
+  // Every round is answered in process, one proto::ClientSession per
+  // user with randomness from DeriveSeed(config.seed, user) — the same
+  // client path PrivShape's rounds take.
+  auto answer = [&](const Result<proto::RoundContext>& context,
+                    const std::vector<size_t>& population)
+      -> Result<std::vector<double>> {
+    if (!context.ok()) return context.status();
+    auto counts = AnswerRoundInProcess(*context, population, sequences,
+                                       /*labels=*/nullptr, config_.seed);
+    if (!counts.ok()) return counts.status();
+    return std::move((*counts)[0]);
+  };
+
+  // Frequent length (Eq. (1)): argmax of the debiased counts, first
+  // maximum wins.
+  if (pa.empty()) {
+    return Status::InvalidArgument(
+        "length estimation requires a non-empty population");
+  }
+  auto length_counts = answer(
+      proto::RoundContext::Length(config_.ell_low, config_.ell_high,
+                                  config_.epsilon),
+      pa);
+  if (!length_counts.ok()) return length_counts.status();
+  size_t best = 0;
+  for (size_t v = 1; v < length_counts->size(); ++v) {
+    if ((*length_counts)[v] > (*length_counts)[best]) best = v;
+  }
+  int ell_s = config_.ell_low + static_cast<int>(best);
   result.frequent_length = ell_s;
   PRIVSHAPE_RETURN_IF_ERROR(result.accountant.Charge("Pa", config_.epsilon));
 
@@ -63,10 +88,13 @@ Result<MechanismResult> BaselineMechanism::Run(
       trie.ExpandRoot();
     }
 
-    std::vector<Sequence> candidates = trie.FrontierCandidates();
-    auto counts = EmSelectionCounts(
-        candidates, sequences, level_groups[static_cast<size_t>(level)],
-        config_.metric, config_.epsilon, /*prefix_compare=*/true, &rng);
+    proto::CandidateRequest request;
+    request.level = static_cast<uint64_t>(level);
+    request.epsilon = config_.epsilon;
+    request.candidates = trie.FrontierCandidates();
+    auto counts = answer(
+        proto::RoundContext::Selection(std::move(request), config_.metric),
+        level_groups[static_cast<size_t>(level)]);
     if (!counts.ok()) return counts.status();
     PRIVSHAPE_RETURN_IF_ERROR(result.accountant.Charge(
         "Pb.level" + std::to_string(level), config_.epsilon));

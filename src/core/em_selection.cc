@@ -1,9 +1,6 @@
 #include "core/em_selection.h"
 
-#include <algorithm>
 #include <limits>
-
-#include "ldp/exponential.h"
 
 namespace privshape::core {
 
@@ -59,35 +56,6 @@ size_t ClosestCandidate(const Sequence& seq,
     }
   }
   return best_idx;
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> EmSelectionCounts(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, bool prefix_compare, Rng* rng) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to select among");
-  }
-  auto em = ldp::ExponentialMechanism::Create(epsilon);
-  if (!em.ok()) return em.status();
-  auto distance = dist::MakeDistance(metric);
-
-  std::vector<double> counts(candidates.size(), 0.0);
-  SelectionScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    MatchDistancesInto(sequences[user], candidates, prefix_compare,
-                       *distance, &scratch.dtw, &scratch.distances);
-    ldp::ScoresFromDistancesInto(scratch.distances, &scratch.scores);
-    auto pick = em->Select(scratch.scores, rng, &scratch.probs);
-    if (!pick.ok()) return pick.status();
-    counts[*pick] += 1.0;
-  }
-  return counts;
 }
 
 }  // namespace privshape::core

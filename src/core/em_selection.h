@@ -3,10 +3,6 @@
 
 #include <vector>
 
-#include "common/analysis_annotations.h"
-#include "common/rng.h"
-#include "common/status.h"
-#include "distance/candidate_table.h"
 #include "distance/distance.h"
 #include "series/sequence.h"
 
@@ -17,10 +13,10 @@ namespace privshape::core {
 /// compared against the equally long prefix of the word (Lemma 1's
 /// prefix-frequency reading for intermediate trie levels).
 ///
-/// This is the ONE implementation of candidate matching: the in-process
-/// mechanisms and the wire-level ClientSession both call it, so a user
-/// produces the same distance vector (and hence the same EM draw) on
-/// either path.
+/// The scalar reference of candidate matching: the SIMD candidate-table
+/// kernels the client answer path runs (dist::CandidateTable) must
+/// produce bit-identical distances, which the SIMD tests and the fuzzer
+/// check against this.
 std::vector<double> MatchDistances(const Sequence& seq,
                                    const std::vector<Sequence>& candidates,
                                    bool prefix_compare,
@@ -38,8 +34,7 @@ void MatchDistancesInto(const Sequence& seq,
                         dist::DtwScratch* scratch, std::vector<double>* out);
 
 /// Index of the candidate closest to `seq` (exact; ties break to the
-/// first index). Shared by the refinement stage and ClientSession so both
-/// paths pick the same candidate before perturbation.
+/// first index) — the scalar reference of the refinement stage's match.
 size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance);
@@ -53,35 +48,6 @@ size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance,
                         dist::DtwScratch* scratch);
-
-/// Reusable buffers for EmSelectionCounts-style per-user selection loops:
-/// one instance per worker amortizes every per-user allocation of the
-/// match -> score -> EM-select chain.
-struct SelectionScratch {
-  dist::DtwScratch dtw;
-  dist::TableScratch table;  ///< for the SoA-table matching path
-  std::vector<double> distances;
-  std::vector<double> scores;
-  std::vector<double> probs;
-};
-
-/// Sequence matching on the user side (§III-C-2, Eq. (2)): every user in
-/// `population` scores all candidates by similarity to their own sequence
-/// (S = normalized 1/dist) and releases one candidate index through the
-/// Exponential Mechanism at budget `epsilon`. Returns the selection count
-/// per candidate — the per-level frequency estimate both mechanisms use.
-///
-/// `prefix_compare = true` compares each candidate against the equally
-/// long *prefix* of the user's sequence (Lemma 1's prefix-frequency
-/// interpretation for intermediate trie levels); at the final level the
-/// candidate length equals ell_S so this coincides with full-sequence
-/// matching.
-PS_REPORT_PATH
-Result<std::vector<double>> EmSelectionCounts(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, bool prefix_compare, Rng* rng);
 
 }  // namespace privshape::core
 

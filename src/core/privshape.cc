@@ -2,18 +2,15 @@
 
 #include <vector>
 
-#include "core/population.h"
 #include "core/rounds.h"
 
 namespace privshape::core {
 
-// Run() is a thin driver around the round decomposition in core/rounds.h:
-// the PrivShapeServer makes every server-side decision, and the
-// Local*Round functions answer each round in process with per-user
-// randomness derived from DeriveSeed(config.seed, user). The wire-level
-// collector::RoundCoordinator drives the same server with the same
-// per-user seeds over encoded reports, so for a fixed seed both paths
-// produce byte-identical shapes for any shard/thread count.
+// Run() validates the labels, then runs the one round sequence
+// (RunRounds) with every round answered in process: each user answers
+// through its own proto::ClientSession, seeded DeriveSeed(config.seed,
+// user), exactly as the collector's clients do over their transports, so
+// for a fixed seed every driver produces byte-identical shapes.
 Result<MechanismResult> PrivShape::Run(const std::vector<Sequence>& sequences,
                                        const std::vector<int>* labels) const {
   PRIVSHAPE_RETURN_IF_ERROR(config_.Validate());
@@ -30,64 +27,15 @@ Result<MechanismResult> PrivShape::Run(const std::vector<Sequence>& sequences,
         return Status::OutOfRange("label outside [0, num_classes)");
       }
     }
+  } else {
+    labels = nullptr;  // a clustering run never reads a label
   }
-
-  auto server = PrivShapeServer::Create(config_);
-  if (!server.ok()) return server.status();
-
-  // The split is the server's only use of the shared engine; every
-  // user-side draw comes from the user's own derived stream.
-  Rng rng(config_.seed);
-  FourWaySplit split =
-      SplitFourWay(sequences.size(), config_.frac_a, config_.frac_b,
-                   config_.frac_c, config_.frac_d, &rng);
-
-  // Stage 1: frequent length from P_a.
-  auto length_counts =
-      LocalLengthRound(sequences, split.pa, config_.ell_low,
-                       config_.ell_high, config_.epsilon, config_.seed);
-  if (!length_counts.ok()) return length_counts.status();
-  PRIVSHAPE_RETURN_IF_ERROR(server->FinishLength(*length_counts));
-  int ell_s = server->frequent_length();
-
-  // Stage 2: frequent sub-shapes from P_b.
-  auto subshape_counts = LocalSubShapeRound(
-      sequences, split.pb, ell_s, config_.t, config_.epsilon,
-      config_.allow_repeats, config_.seed);
-  if (!subshape_counts.ok()) return subshape_counts.status();
-  PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(*subshape_counts));
-
-  // Stage 3: trie expansion from P_c.
-  std::vector<std::vector<size_t>> level_groups =
-      PartitionGroups(split.pc, static_cast<size_t>(ell_s));
-  for (int level = 0; level < ell_s; ++level) {
-    auto candidates = server->BeginTrieLevel(level);
-    if (!candidates.ok()) return candidates.status();
-    auto counts = LocalSelectionRound(
-        *candidates, sequences, level_groups[static_cast<size_t>(level)],
-        config_.metric, config_.epsilon, config_.seed);
-    if (!counts.ok()) return counts.status();
-    PRIVSHAPE_RETURN_IF_ERROR(server->FinishTrieLevel(*counts));
-  }
-
-  // Stage 4+5: two-level refinement from P_d, then post-processing.
-  auto candidates = server->BeginRefinement();
-  if (!candidates.ok()) return candidates.status();
-  if (config_.disable_refinement) {
-    return server->FinishWithoutRefinement();
-  }
-  if (config_.num_classes == 0) {
-    auto counts =
-        LocalRefinementRound(*candidates, sequences, split.pd,
-                             config_.metric, config_.epsilon, config_.seed);
-    if (!counts.ok()) return counts.status();
-    return server->FinishRefinement(*counts);
-  }
-  auto counts = LocalClassRefinementRound(
-      *candidates, sequences, *labels, split.pd, config_.metric,
-      config_.num_classes, config_.epsilon, config_.seed);
-  if (!counts.ok()) return counts.status();
-  return server->FinishClassRefinement(*counts);
+  return RunRounds(config_, sequences.size(),
+                   [&](const RoundRequest& round) {
+                     return AnswerRoundInProcess(round.context,
+                                                 round.population, sequences,
+                                                 labels, config_.seed);
+                   });
 }
 
 }  // namespace privshape::core

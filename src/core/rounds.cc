@@ -8,12 +8,10 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "core/em_selection.h"
+#include "core/population.h"
 #include "eval/agglomerative.h"
-#include "ldp/estimator_utils.h"
-#include "ldp/exponential.h"
-#include "ldp/grr.h"
-#include "ldp/unary_encoding.h"
+#include "protocol/messages.h"
+#include "protocol/session.h"
 
 namespace privshape::core {
 
@@ -291,207 +289,154 @@ Result<MechanismResult> PrivShapeServer::Finalize(
   return EmitSorted();
 }
 
-PS_RNG_WORDS(2)
-size_t AnswerLengthValue(const Sequence& word, int ell_low, int ell_high,
-                         const ldp::Grr& grr, Rng* rng) {
-  int len = static_cast<int>(word.size());
-  len = std::clamp(len, ell_low, ell_high);
-  return grr.PerturbValue(static_cast<size_t>(len - ell_low), rng);
-}
+Result<MechanismResult> RunRounds(const MechanismConfig& config,
+                                  size_t num_users,
+                                  const RoundExecutor& execute) {
+  auto server = PrivShapeServer::Create(config);
+  if (!server.ok()) return server.status();
 
-PS_REPORT_PATH
-std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
-                                                int ell_s, int t,
-                                                bool allow_repeats,
-                                                const ldp::Grr& grr,
-                                                Rng* rng) {
-  size_t num_levels = static_cast<size_t>(ell_s - 1);
-  size_t sentinel = SubShapeDomainSize(t, allow_repeats) - 1;
-  // Level j in {1, ..., ell_s - 1}; uniform, data-independent.
-  size_t j = 1 + rng->Index(num_levels);
-  size_t value;
-  if (j + 1 <= word.size()) {
-    Symbol a = word[j - 1];
-    Symbol b = word[j];
-    if (!allow_repeats && a == b) {
-      // Cannot occur for compressed input; map defensively to sentinel.
-      value = sentinel;
-    } else {
-      value = PairToIndex(a, b, t, allow_repeats);
-    }
-  } else {
-    value = sentinel;  // the sampled pair lies in the padded region
-  }
-  return {static_cast<uint64_t>(j), grr.PerturbValue(value, rng)};
-}
+  // The split is the server's only use of the shared engine; every
+  // user-side draw comes from the user's own derived stream.
+  Rng rng(config.seed);
+  FourWaySplit split = SplitFourWay(num_users, config.frac_a, config.frac_b,
+                                    config.frac_c, config.frac_d, &rng);
 
-PS_REPORT_PATH
-Result<std::vector<double>> LocalLengthRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_low, int ell_high,
-    double epsilon, uint64_t seed) {
-  if (population.empty()) {
+  // One round: the request encoded once, the context built once, then
+  // the executor's per-level counts.
+  auto run = [&execute](const std::string& stage,
+                        const std::vector<size_t>& population,
+                        const std::string& encoded_request,
+                        const Result<proto::RoundContext>& context)
+      -> Result<std::vector<std::vector<double>>> {
+    if (!context.ok()) return context.status();
+    return execute(
+        RoundRequest{stage, population, *context, encoded_request});
+  };
+
+  // P_a: frequent length.
+  if (split.pa.empty()) {
     return Status::InvalidArgument(
         "length estimation requires a non-empty population");
   }
-  if (ell_low < 1 || ell_high < ell_low) {
-    return Status::InvalidArgument("need 1 <= ell_low <= ell_high");
+  {
+    proto::LengthRequest request;
+    request.ell_low = config.ell_low;
+    request.ell_high = config.ell_high;
+    request.epsilon = config.epsilon;
+    auto counts = run("Pa", split.pa, proto::EncodeLengthRequest(request),
+                      proto::RoundContext::Length(request));
+    if (!counts.ok()) return counts.status();
+    PRIVSHAPE_RETURN_IF_ERROR(server->FinishLength((*counts)[0]));
   }
-  size_t domain = static_cast<size_t>(ell_high - ell_low + 1);
-  std::vector<size_t> counts(domain, 0);
-  if (domain == 1) {
-    // Clients report the single bucket deterministically (no perturbation
-    // possible over a one-value domain) — mirror ClientSession.
-    for (size_t user : population) {
-      if (user >= sequences.size()) {
+  int ell_s = server->frequent_length();
+
+  // P_b: frequent sub-shape transitions (no adjacent pairs when
+  // ell_S == 1).
+  if (server->NumSubShapeLevels() == 0) {
+    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes({}));
+  } else {
+    proto::SubShapeRequest request;
+    request.alphabet = config.t;
+    request.ell_s = ell_s;
+    request.epsilon = config.epsilon;
+    request.allow_repeats = config.allow_repeats;
+    auto counts = run("Pb", split.pb, proto::EncodeSubShapeRequest(request),
+                      proto::RoundContext::SubShape(request));
+    if (!counts.ok()) return counts.status();
+    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(*counts));
+  }
+
+  // P_c: one candidate broadcast + EM selection per trie level.
+  std::vector<std::vector<size_t>> level_groups =
+      PartitionGroups(split.pc, static_cast<size_t>(ell_s));
+  for (int level = 0; level < ell_s; ++level) {
+    auto candidates = server->BeginTrieLevel(level);
+    if (!candidates.ok()) return candidates.status();
+    proto::CandidateRequest request;
+    request.level = static_cast<uint64_t>(level);
+    request.epsilon = config.epsilon;
+    request.candidates = std::move(*candidates);
+    std::string encoded = proto::EncodeCandidateRequest(request);
+    auto counts = run("Pc.level" + std::to_string(level),
+                      level_groups[static_cast<size_t>(level)], encoded,
+                      proto::RoundContext::Selection(std::move(request),
+                                                     config.metric));
+    if (!counts.ok()) return counts.status();
+    PRIVSHAPE_RETURN_IF_ERROR(server->FinishTrieLevel((*counts)[0]));
+  }
+
+  // P_d / P_e: refinement over the surviving candidates — GRR over
+  // candidate indices for clustering (P_d), or OUE over candidate x class
+  // cells for classification (P_e, §V-E) — then post-processing.
+  auto candidates = server->BeginRefinement();
+  if (!candidates.ok()) return candidates.status();
+  if (config.disable_refinement) return server->FinishWithoutRefinement();
+  if (config.num_classes > 0) {
+    proto::ClassRefineRequest request;
+    request.epsilon = config.epsilon;
+    request.num_classes = static_cast<uint64_t>(config.num_classes);
+    request.candidates = std::move(*candidates);
+    std::string encoded = proto::EncodeClassRefineRequest(request);
+    auto counts = run("Pe", split.pd, encoded,
+                      proto::RoundContext::ClassRefinement(std::move(request),
+                                                           config.metric));
+    if (!counts.ok()) return counts.status();
+    return server->FinishClassRefinement((*counts)[0]);
+  }
+  proto::CandidateRequest request;
+  request.epsilon = config.epsilon;
+  request.candidates = std::move(*candidates);
+  std::string encoded = proto::EncodeCandidateRequest(request);
+  auto counts = run(
+      "Pd", split.pd, encoded,
+      proto::RoundContext::Refinement(std::move(request), config.metric));
+  if (!counts.ok()) return counts.status();
+  return server->FinishRefinement((*counts)[0]);
+}
+
+PS_REPORT_PATH
+Result<std::vector<std::vector<double>>> AnswerRoundInProcess(
+    const proto::RoundContext& context, const std::vector<size_t>& population,
+    const std::vector<Sequence>& words, const std::vector<int>* labels,
+    uint64_t seed) {
+  std::vector<proto::ReportAggregator> levels(
+      context.num_levels(),
+      proto::ReportAggregator(context.kind(), context.domain(),
+                              context.epsilon()));
+  proto::AnswerScratch scratch;
+  proto::Report& report = scratch.report;
+  constexpr size_t kBlock = LazyMt64::kLockstepLanes;
+  std::vector<proto::ClientSession> block;
+  block.reserve(kBlock);
+  for (size_t begin = 0; begin < population.size(); begin += kBlock) {
+    size_t end = std::min(population.size(), begin + kBlock);
+    block.clear();
+    for (size_t i = begin; i < end; ++i) {
+      size_t user = population[i];
+      if (user >= words.size() ||
+          (labels != nullptr && user >= labels->size())) {
         return Status::OutOfRange("population index outside dataset");
       }
-      counts[0]++;
+      block.emplace_back(words[user], DeriveSeed(seed, user),
+                         labels != nullptr ? (*labels)[user] : -1);
     }
-    return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
-  }
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
+    PRIVSHAPE_RETURN_IF_ERROR(
+        proto::ClientSession::SeedEngines(block.data(), block.size()));
+    for (proto::ClientSession& session : block) {
+      PRIVSHAPE_RETURN_IF_ERROR(session.Answer(context, &scratch, &report));
+      uint64_t bucket = report.level - context.min_level();
+      if (report.level < context.min_level() || bucket >= levels.size()) {
+        return Status::Internal("report level outside the round's window");
+      }
+      levels[static_cast<size_t>(bucket)].ConsumeReport(report);
     }
-    Rng user_rng(DeriveSeed(seed, user));
-    counts[AnswerLengthValue(sequences[user], ell_low, ell_high, *grr,
-                             &user_rng)]++;
   }
-  return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
-}
-
-PS_REPORT_PATH
-Result<std::vector<std::vector<double>>> LocalSubShapeRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, double epsilon,
-    bool allow_repeats, uint64_t seed) {
-  if (ell_s < 1) return Status::InvalidArgument("ell_s must be >= 1");
-  std::vector<std::vector<double>> level_counts;
-  if (ell_s == 1) return level_counts;  // no adjacent pairs exist
-
-  size_t num_levels = static_cast<size_t>(ell_s - 1);
-  size_t domain = SubShapeDomainSize(t, allow_repeats);
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-
-  std::vector<std::vector<size_t>> counts(num_levels,
-                                          std::vector<size_t>(domain, 0));
-  std::vector<size_t> reports(num_levels, 0);
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    Rng user_rng(DeriveSeed(seed, user));
-    auto [level, value] = AnswerSubShapeValue(
-        sequences[user], ell_s, t, allow_repeats, *grr, &user_rng);
-    counts[level - 1][value]++;
-    reports[level - 1]++;
-  }
-
-  level_counts.resize(num_levels);
-  for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-    level_counts[lvl] =
-        ldp::DebiasGrrCounts(counts[lvl], reports[lvl], epsilon);
-  }
-  return level_counts;
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalSelectionRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to select among");
-  }
-  auto em = ldp::ExponentialMechanism::Create(epsilon);
-  if (!em.ok()) return em.status();
-  auto distance = dist::MakeDistance(metric);
-
-  // One SoA table per round: the whole population matches against the
-  // same broadcast list, through the same vectorized kernels (and hence
-  // the same bits) as a wire-level ClientSession.
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  std::vector<double> counts(candidates.size(), 0.0);
-  SelectionScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    table.MatchInto(sequences[user], *distance, /*prefix_compare=*/true,
-                    &scratch.table, &scratch.distances);
-    ldp::ScoresFromDistancesInto(scratch.distances, &scratch.scores);
-    Rng user_rng(DeriveSeed(seed, user));
-    auto pick = em->Select(scratch.scores, &user_rng, &scratch.probs);
-    if (!pick.ok()) return pick.status();
-    counts[*pick] += 1.0;
+  std::vector<std::vector<double>> counts;
+  counts.reserve(levels.size());
+  for (const proto::ReportAggregator& level : levels) {
+    counts.push_back(level.EstimatedCounts());
   }
   return counts;
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to refine");
-  }
-  size_t domain = std::max<size_t>(candidates.size(), 2);
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-  auto distance = dist::MakeDistance(metric);
-
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  std::vector<size_t> counts(domain, 0);
-  dist::TableScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    size_t pick = table.Closest(sequences[user], *distance, &scratch);
-    Rng user_rng(DeriveSeed(seed, user));
-    counts[grr->PerturbValue(pick, &user_rng)]++;
-  }
-  return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalClassRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences, const std::vector<int>& labels,
-    const std::vector<size_t>& population, dist::Metric metric,
-    int num_classes, double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to refine");
-  }
-  if (num_classes <= 0) {
-    return Status::InvalidArgument("num_classes must be positive");
-  }
-  // Classification: OUE over candidate x class cells (§V-E).
-  size_t cells = candidates.size() * static_cast<size_t>(num_classes);
-  auto oue = ldp::UnaryEncoding::Create(
-      cells, epsilon, ldp::UnaryEncoding::Variant::kOptimized);
-  if (!oue.ok()) return oue.status();
-  auto distance = dist::MakeDistance(metric);
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  dist::TableScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size() || user >= labels.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    size_t pick = table.Closest(sequences[user], *distance, &scratch);
-    size_t cell = pick * static_cast<size_t>(num_classes) +
-                  static_cast<size_t>(labels[user]);
-    Rng user_rng(DeriveSeed(seed, user));
-    PRIVSHAPE_RETURN_IF_ERROR(oue->SubmitUser(cell, &user_rng));
-  }
-  return oue->EstimateCounts();
 }
 
 }  // namespace privshape::core

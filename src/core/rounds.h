@@ -1,32 +1,37 @@
 /// \file
-/// Algorithm 2 as explicit server-side rounds. `PrivShapeServer` is the
-/// single implementation of every server-side decision (length argmax,
-/// transition gating, trie pruning, refinement, post-processing) — both the
-/// in-process `core::PrivShape` mechanism and the multi-threaded
-/// `collector::RoundCoordinator` drive it, which is what makes their
-/// outputs byte-identical. The Local*Round functions are the in-process
-/// "fleet": they answer each round exactly as a wire-level ClientSession
-/// would, deriving every user's randomness from DeriveSeed(seed, user) so
-/// results do not depend on iteration or thread order.
+/// Algorithm 2 as explicit rounds: the one round sequence, the server
+/// that decides between rounds, and the in-process way to answer a round.
+///
+/// `RunRounds` is the single implementation of the sequence (split, P_a,
+/// P_b, ell_S x P_c, then P_d or P_e). It builds each round's request and
+/// shared proto::RoundContext and hands the round to an executor, which
+/// answers it however the caller serves its users: `core::PrivShape`
+/// answers in process (`AnswerRoundInProcess`), `collector::DriveProtocol`
+/// over its sharded coordinator or its socket daemon. `PrivShapeServer`
+/// makes every server-side decision from the counts the executor returns.
+/// Every client answers through proto::ClientSession with randomness from
+/// DeriveSeed(seed, user), so all drivers produce byte-identical shapes.
 
 #ifndef PRIVSHAPE_CORE_ROUNDS_H_
 #define PRIVSHAPE_CORE_ROUNDS_H_
 
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/analysis_annotations.h"
 #include "core/config.h"
 #include "core/subshape.h"
-#include "ldp/grr.h"
+#include "protocol/round_context.h"
 #include "trie/trie.h"
 
 namespace privshape::core {
 
-/// Server-side state machine of PrivShape (Algorithm 2). The caller runs
-/// the collection rounds (locally or over the wire) and feeds back the
-/// aggregated counts; the server makes every decision that follows from
-/// them. Methods must be called in protocol order:
+/// Server-side state machine of PrivShape (Algorithm 2). RunRounds runs
+/// the collection rounds and feeds back the aggregated counts; the server
+/// makes every decision that follows from them. Methods must be called in
+/// protocol order:
 ///
 ///   FinishLength -> FinishSubShapes -> (BeginTrieLevel, FinishTrieLevel)
 ///   x ell_S -> BeginRefinement -> one of FinishRefinement /
@@ -113,71 +118,50 @@ class PrivShapeServer {
   std::vector<Sequence> candidates_;  ///< refinement candidates
 };
 
-/// Per-user answer computations shared by the in-process rounds and the
-/// wire-level ClientSession, so one user produces the same perturbed
-/// report (same draws, same order) on either path. These are the only
-/// implementations of the P_a/P_b user-side logic.
-///
-/// P_a: length clipped into [ell_low, ell_high], GRR-perturbed. `grr`
-/// must span the (ell_high - ell_low + 1)-value domain, which must have
-/// >= 2 values (the one-value domain reports 0 without randomness; both
-/// callers special-case it).
-PS_RNG_WORDS(2)
-size_t AnswerLengthValue(const Sequence& word, int ell_low, int ell_high,
-                         const ldp::Grr& grr, Rng* rng);
+/// One collection round as the sequence hands it to an executor.
+struct RoundRequest {
+  /// "Pa", "Pb", "Pc.level<i>", "Pd" or "Pe".
+  const std::string& stage;
+  /// The users who answer this round (indices into the whole population).
+  const std::vector<size_t>& population;
+  /// The round's shared client state; its report window (kind, domain,
+  /// levels) is what the executor aggregates against.
+  const proto::RoundContext& context;
+  /// The round's broadcast message, encoded once: the bytes a wire
+  /// deployment ships to every user of the round.
+  const std::string& encoded_request;
+};
 
-/// P_b: samples level j uniformly from {1, ..., ell_s - 1}, then GRR-
-/// perturbs the index of the adjacent pair at j (the sentinel bucket for
-/// padded or invalid positions). Returns {level, perturbed value}.
-PS_REPORT_PATH
-std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
-                                                int ell_s, int t,
-                                                bool allow_repeats,
-                                                const ldp::Grr& grr,
-                                                Rng* rng);
+/// Answers one round and returns its debiased counts, one vector of
+/// context.domain() values per level of the report window
+/// (context.num_levels() of them): GRR-debiased for P_a, P_b and P_d, raw
+/// EM selection counts for P_c, OUE-debiased cells for P_e — exactly
+/// proto::ReportAggregator::EstimatedCounts. An error stops the sequence
+/// before any server-side decision.
+using RoundExecutor = std::function<Result<std::vector<std::vector<double>>>(
+    const RoundRequest& round)>;
 
-/// In-process round runners: each answers one collection round for a
-/// population exactly as the wire-level ClientSession would, with user
-/// `u`'s randomness drawn from Rng(DeriveSeed(seed, u)).
-///
-/// P_a — returns debiased GRR counts over the clipped length domain.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalLengthRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_low, int ell_high,
-    double epsilon, uint64_t seed);
+/// The Algorithm 2 round sequence over a population of `num_users`: the
+/// four-way split (the server's only draw from config.seed), P_a, P_b
+/// (skipped when ell_S == 1), one P_c round per trie level, then the P_d
+/// refinement, the P_e classification round (config.num_classes > 0) or
+/// neither (config.disable_refinement), and post-processing.
+Result<MechanismResult> RunRounds(const MechanismConfig& config,
+                                  size_t num_users,
+                                  const RoundExecutor& execute);
 
-/// P_b — returns per-level debiased pair counts (empty when ell_s == 1).
+/// The in-process executor: user u of `population` answers `context`
+/// through its own proto::ClientSession over words[u], seeded
+/// DeriveSeed(seed, u) and labeled (*labels)[u] (-1 when `labels` is
+/// null), and the reports feed one proto::ReportAggregator per level.
+/// Sessions are seeded in lockstep blocks and share one AnswerScratch, so
+/// the per-word memo serves repeated words. A failed answer fails the
+/// round. Returns the per-level estimated counts.
 PS_REPORT_PATH
-Result<std::vector<std::vector<double>>> LocalSubShapeRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, double epsilon,
-    bool allow_repeats, uint64_t seed);
-
-/// P_c — returns raw EM selection counts per candidate.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalSelectionRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed);
-
-/// P_d (clustering) — returns debiased GRR counts over candidate indices.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed);
-
-/// P_d (classification) — returns debiased OUE counts over candidate x
-/// class cells, row-major.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalClassRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences, const std::vector<int>& labels,
-    const std::vector<size_t>& population, dist::Metric metric,
-    int num_classes, double epsilon, uint64_t seed);
+Result<std::vector<std::vector<double>>> AnswerRoundInProcess(
+    const proto::RoundContext& context, const std::vector<size_t>& population,
+    const std::vector<Sequence>& words, const std::vector<int>* labels,
+    uint64_t seed);
 
 }  // namespace privshape::core
 

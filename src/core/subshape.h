@@ -3,24 +3,9 @@
 
 #include <vector>
 
-#include "common/rng.h"
-#include "common/status.h"
-#include "series/sequence.h"
 #include "trie/trie.h"
 
 namespace privshape::core {
-
-/// Index of an adjacent-symbol pair within the GRR report domain.
-///
-/// Compressed sequences never repeat a symbol, so the valid domain has
-/// t*(t-1) ordered pairs (`allow_repeats = false`); the "No Compression"
-/// ablation uses the full t*t grid. One extra sentinel bucket (the last
-/// index) absorbs padded positions — see SubShapeDomainSize().
-size_t PairToIndex(Symbol a, Symbol b, int t, bool allow_repeats);
-trie::Transition IndexToPair(size_t index, int t, bool allow_repeats);
-
-/// Report domain size incl. the sentinel padding bucket.
-size_t SubShapeDomainSize(int t, bool allow_repeats);
 
 /// Per-level frequent sub-shape estimates (§IV-B).
 struct SubShapeEstimates {
@@ -31,24 +16,15 @@ struct SubShapeEstimates {
   std::vector<std::vector<double>> counts;
 };
 
-/// Server-side ranking step shared by the in-process estimator and the
-/// collector: given per-level debiased pair counts (each vector sized
-/// SubShapeDomainSize, sentinel last), keeps the top-m real pairs per
-/// level by estimated count (stable order; sentinel dropped).
+/// Server-side ranking of the P_b round: given per-level debiased pair
+/// counts (each vector sized proto::SubShapeDomainSize, sentinel last),
+/// keeps the top-m real pairs per level by estimated count (stable order;
+/// sentinel dropped). The sentinel absorbs the padded positions of
+/// padding-and-sampling, which keeps the estimator unbiased on real pairs
+/// while every report stays eps-LDP.
 SubShapeEstimates RankSubShapes(
     const std::vector<std::vector<double>>& level_counts, int t, size_t top_m,
     bool allow_repeats);
-
-/// Padding-and-sampling estimation: each user pads/truncates their
-/// sequence to length ell_s, picks a level j uniformly from
-/// {1, ..., ell_s - 1}, and reports (j, GRR(pair at j)). Positions that
-/// fall in the padded region report the sentinel bucket, which the server
-/// debiases and then discards — this keeps the estimator unbiased on real
-/// pairs while every report stays eps-LDP.
-Result<SubShapeEstimates> EstimateSubShapes(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, size_t top_m,
-    double epsilon, bool allow_repeats, Rng* rng);
 
 }  // namespace privshape::core
 

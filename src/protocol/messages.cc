@@ -21,6 +21,34 @@ Result<int> GetSmallInt(Decoder& dec, const char* what) {
 
 }  // namespace
 
+size_t PairToIndex(Symbol a, Symbol b, int t, bool allow_repeats) {
+  size_t ai = a, bi = b;
+  if (allow_repeats) {
+    return ai * static_cast<size_t>(t) + bi;
+  }
+  // Skip the diagonal: row a has t-1 entries.
+  return ai * static_cast<size_t>(t - 1) + (bi > ai ? bi - 1 : bi);
+}
+
+std::pair<Symbol, Symbol> IndexToPair(size_t index, int t,
+                                      bool allow_repeats) {
+  if (allow_repeats) {
+    return {static_cast<Symbol>(index / static_cast<size_t>(t)),
+            static_cast<Symbol>(index % static_cast<size_t>(t))};
+  }
+  size_t row = index / static_cast<size_t>(t - 1);
+  size_t col = index % static_cast<size_t>(t - 1);
+  if (col >= row) ++col;
+  return {static_cast<Symbol>(row), static_cast<Symbol>(col)};
+}
+
+size_t SubShapeDomainSize(int t, bool allow_repeats) {
+  size_t pairs = allow_repeats
+                     ? static_cast<size_t>(t) * static_cast<size_t>(t)
+                     : static_cast<size_t>(t) * static_cast<size_t>(t - 1);
+  return pairs + 1;  // sentinel padding bucket
+}
+
 std::string EncodeReport(const Report& report) {
   std::string out;
   EncodeReportTo(report, &out);

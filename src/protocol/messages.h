@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -41,6 +42,19 @@ struct Report {
            value == other.value && bits == other.bits;
   }
 };
+
+/// P_b report encoding: the index of an adjacent-symbol pair within the
+/// GRR report domain. Compressed words never repeat a symbol, so the
+/// valid domain has t*(t-1) ordered pairs (`allow_repeats = false`); the
+/// "No Compression" ablation uses the full t*t grid. One extra sentinel
+/// bucket (the last index) absorbs padded positions — see
+/// SubShapeDomainSize().
+size_t PairToIndex(Symbol a, Symbol b, int t, bool allow_repeats);
+std::pair<Symbol, Symbol> IndexToPair(size_t index, int t,
+                                      bool allow_repeats);
+
+/// P_b report domain size incl. the sentinel padding bucket.
+size_t SubShapeDomainSize(int t, bool allow_repeats);
 
 /// Serializes a report (version, kind, level, value, bits).
 std::string EncodeReport(const Report& report);

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/subshape.h"
 #include "ldp/unary_encoding.h"
 
 namespace privshape::proto {
@@ -121,9 +120,9 @@ Result<RoundContext> RoundContext::Length(int ell_low, int ell_high,
   ctx.epsilon_ = epsilon;
   ctx.ell_low_ = ell_low;
   ctx.ell_high_ = ell_high;
-  size_t domain = static_cast<size_t>(ell_high - ell_low + 1);
-  if (domain > 1) {
-    auto grr = ldp::Grr::Create(domain, epsilon);
+  ctx.domain_ = static_cast<size_t>(ell_high - ell_low + 1);
+  if (ctx.domain_ > 1) {
+    auto grr = ldp::Grr::Create(ctx.domain_, epsilon);
     if (!grr.ok()) return grr.status();
     ctx.grr_ = std::move(*grr);
   }
@@ -146,8 +145,8 @@ Result<RoundContext> RoundContext::SubShape(int alphabet, int ell_s,
   ctx.alphabet_ = alphabet;
   ctx.ell_s_ = ell_s;
   ctx.allow_repeats_ = allow_repeats;
-  size_t domain = core::SubShapeDomainSize(alphabet, allow_repeats);
-  auto grr = ldp::Grr::Create(domain, epsilon);
+  ctx.domain_ = SubShapeDomainSize(alphabet, allow_repeats);
+  auto grr = ldp::Grr::Create(ctx.domain_, epsilon);
   if (!grr.ok()) return grr.status();
   ctx.grr_ = std::move(*grr);
   return ctx;
@@ -169,6 +168,7 @@ Result<RoundContext> RoundContext::Selection(CandidateRequest request,
   ctx.kind_ = ReportKind::kSelection;
   ctx.level_ = request.level;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = request.candidates.size();
   ctx.em_ = std::move(*em);
   ctx.distance_ = dist::MakeDistance(metric);
   ctx.table_ = dist::CandidateTable::Build(std::move(request.candidates));
@@ -187,13 +187,15 @@ Result<RoundContext> RoundContext::Refinement(CandidateRequest request,
   if (request.candidates.empty()) {
     return Status::InvalidArgument("empty candidate list");
   }
-  auto grr = ldp::Grr::Create(
-      std::max<size_t>(request.candidates.size(), 2), request.epsilon);
+  // A lone candidate still gets a two-value GRR domain.
+  size_t domain = std::max<size_t>(request.candidates.size(), 2);
+  auto grr = ldp::Grr::Create(domain, request.epsilon);
   if (!grr.ok()) return grr.status();
   RoundContext ctx;
   ctx.kind_ = ReportKind::kRefinement;
   ctx.level_ = request.level;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = domain;
   ctx.grr_ = std::move(*grr);
   ctx.distance_ = dist::MakeDistance(metric);
   ctx.table_ = dist::CandidateTable::Build(std::move(request.candidates));
@@ -229,8 +231,7 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
   }
   size_t cells = static_cast<size_t>(wide_cells);
   // Validation and p/q come from the one OUE implementation, so the
-  // context-path Bernoulli draws use bit-identical probabilities to
-  // core::LocalClassRefinementRound's ldp::UnaryEncoding oracle.
+  // answer's Bernoulli draws and the aggregator's debias share them.
   auto oue = ldp::UnaryEncoding::Create(
       cells, request.epsilon, ldp::UnaryEncoding::Variant::kOptimized);
   if (!oue.ok()) return oue.status();
@@ -238,6 +239,7 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
   ctx.kind_ = ReportKind::kClassRefine;
   ctx.level_ = 0;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = cells;
   ctx.num_classes_ = static_cast<int>(request.num_classes);
   ctx.oue_p_ = oue->p();
   ctx.oue_q_ = oue->q();

@@ -8,9 +8,9 @@
 /// `const RoundContext&` plus a per-worker `AnswerScratch`, and the
 /// per-report hot path performs no heap allocation at all.
 ///
-/// Determinism: a context-path answer draws the same randomness in the
-/// same order as the string-decoding entry points (which are now thin
-/// wrappers over this), so reports are byte-identical on either path.
+/// The context also fixes the round's report window — the kind, the
+/// per-level domain and the levels a report may carry — which is what
+/// the server aggregates against, so the two sides agree by construction.
 
 #ifndef PRIVSHAPE_PROTOCOL_ROUND_CONTEXT_H_
 #define PRIVSHAPE_PROTOCOL_ROUND_CONTEXT_H_
@@ -151,11 +151,11 @@ struct AnswerScratch {
   Report report;
 };
 
-/// Immutable, shareable state of one collection round, built once by the
-/// coordinator (or by a legacy string entry point) and read concurrently
-/// by every client answer. Construction does all the validation the
-/// string entry points used to do per call, with identical Status
-/// results; answering against a context of the wrong kind fails.
+/// Immutable, shareable state of one collection round, built once per
+/// round (by the round sequence, or by a remote client from the decoded
+/// broadcast) and read concurrently by every client answer. Construction
+/// validates the request; answering against a context of the wrong kind
+/// fails.
 class RoundContext {
  public:
   /// P_a: GRR over the clipped length range [ell_low, ell_high]. A
@@ -198,6 +198,19 @@ class RoundContext {
 
   uint64_t level() const { return level_; }
   double epsilon() const { return epsilon_; }
+
+  /// The report window: each report's value (or, for kClassRefine, its
+  /// bit vector) spans domain() values, and its level lies in
+  /// [min_level(), min_level() + num_levels()). Only the P_b round spans
+  /// several levels, [1, ell_s).
+  size_t domain() const { return domain_; }
+  uint64_t min_level() const {
+    return kind_ == ReportKind::kSubShape ? 1 : level_;
+  }
+  size_t num_levels() const {
+    return kind_ == ReportKind::kSubShape ? static_cast<size_t>(ell_s_ - 1)
+                                          : 1;
+  }
   const std::vector<Sequence>& candidates() const {
     return table_.candidates();
   }
@@ -239,6 +252,7 @@ class RoundContext {
   ReportKind kind_ = ReportKind::kLength;
   uint64_t level_ = 0;
   double epsilon_ = 0.0;
+  size_t domain_ = 0;
   int ell_low_ = 0;
   int ell_high_ = 0;
   int alphabet_ = 0;

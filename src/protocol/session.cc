@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/em_selection.h"
-#include "core/rounds.h"
-#include "core/subshape.h"
 #include "ldp/estimator_utils.h"
 #include "ldp/exponential.h"
 #include "ldp/grr.h"
@@ -13,6 +10,47 @@
 namespace privshape::proto {
 
 namespace {
+
+/// P_a: length clipped into [ell_low, ell_high], GRR-perturbed. `grr`
+/// spans the (ell_high - ell_low + 1)-value domain, which has >= 2 values
+/// (the one-value domain reports 0 without randomness).
+PS_RNG_WORDS(2)
+size_t AnswerLengthValue(const Sequence& word, int ell_low, int ell_high,
+                         const ldp::Grr& grr, Rng* rng) {
+  int len = static_cast<int>(word.size());
+  len = std::clamp(len, ell_low, ell_high);
+  return grr.PerturbValue(static_cast<size_t>(len - ell_low), rng);
+}
+
+/// P_b padding-and-sampling: samples level j uniformly from
+/// {1, ..., ell_s - 1}, then GRR-perturbs the index of the adjacent pair
+/// at j (the sentinel bucket for padded or invalid positions). Returns
+/// {level, perturbed value}.
+PS_REPORT_PATH
+std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
+                                                int ell_s, int t,
+                                                bool allow_repeats,
+                                                const ldp::Grr& grr,
+                                                Rng* rng) {
+  size_t num_levels = static_cast<size_t>(ell_s - 1);
+  size_t sentinel = SubShapeDomainSize(t, allow_repeats) - 1;
+  // Level j in {1, ..., ell_s - 1}; uniform, data-independent.
+  size_t j = 1 + rng->Index(num_levels);
+  size_t value;
+  if (j + 1 <= word.size()) {
+    Symbol a = word[j - 1];
+    Symbol b = word[j];
+    if (!allow_repeats && a == b) {
+      // Cannot occur for compressed input; map defensively to sentinel.
+      value = sentinel;
+    } else {
+      value = PairToIndex(a, b, t, allow_repeats);
+    }
+  } else {
+    value = sentinel;  // the sampled pair lies in the padded region
+  }
+  return {static_cast<uint64_t>(j), grr.PerturbValue(value, rng)};
+}
 
 // The word-dependent half of an answer. Within one round it depends only
 // on the word, so with a caller's scratch (`memoize`) it is computed once
@@ -33,9 +71,8 @@ Result<Span<const double>> WordProbabilities(const RoundContext& ctx,
     }
   }
   ++s->distinct_words;
-  // Shared matching path: the SoA table kernels produce bit-identical
-  // distance vectors (and hence identical EM draws) to the in-process
-  // core::LocalSelectionRound, which matches through the same table.
+  // The SoA table kernels are bit-identical to the scalar matching
+  // reference, so the EM draws do not depend on the SIMD level.
   ctx.table().MatchInto(word, *ctx.distance(), /*prefix_compare=*/true,
                         &s->table, &s->distances);
   ldp::ScoresFromDistancesInto(s->distances, &s->scores);
@@ -64,13 +101,6 @@ size_t ClosestCandidate(const RoundContext& ctx, const Sequence& word,
 
 }  // namespace
 
-// --- Shared-context hot path ---------------------------------------------
-//
-// These four are the one implementation of the user-side answer logic;
-// the string entry points below are thin wrappers that build a throwaway
-// RoundContext, so both paths draw identical randomness in identical
-// order and produce byte-identical reports.
-
 PS_REPORT_PATH
 Status ClientSession::AnswerLength(const RoundContext& ctx,
                                    AnswerScratch* /*scratch*/, Report* out) {
@@ -85,9 +115,8 @@ Status ClientSession::AnswerLength(const RoundContext& ctx,
     out->value = 0;
     return Status::Ok();
   }
-  // Shared user-side logic: same draws as core::LocalLengthRound.
-  out->value = core::AnswerLengthValue(word_, ctx.ell_low(), ctx.ell_high(),
-                                       *ctx.grr(), &rng_);
+  out->value = AnswerLengthValue(word_, ctx.ell_low(), ctx.ell_high(),
+                                 *ctx.grr(), &rng_);
   return Status::Ok();
 }
 
@@ -98,10 +127,9 @@ Status ClientSession::AnswerSubShape(const RoundContext& ctx,
   if (ctx.kind() != ReportKind::kSubShape) {
     return Status::InvalidArgument("context is not a sub-shape round");
   }
-  // Shared user-side logic: same draws as core::LocalSubShapeRound.
   auto [level, value] =
-      core::AnswerSubShapeValue(word_, ctx.ell_s(), ctx.alphabet(),
-                                ctx.allow_repeats(), *ctx.grr(), &rng_);
+      AnswerSubShapeValue(word_, ctx.ell_s(), ctx.alphabet(),
+                          ctx.allow_repeats(), *ctx.grr(), &rng_);
   out->kind = ReportKind::kSubShape;
   out->level = level;
   out->value = value;
@@ -207,56 +235,6 @@ Status ClientSession::AnswerTo(const RoundContext& ctx,
 Status ClientSession::SeedEngines(ClientSession* sessions, size_t n) {
   return Rng::SeedLockstep(
       n, [sessions](size_t i) { return &sessions[i].rng_; });
-}
-
-// --- String-decoding wire API (thin wrappers) ----------------------------
-
-Result<std::string> ClientSession::AnswerLengthRequest(int ell_low,
-                                                       int ell_high,
-                                                       double epsilon) {
-  auto ctx = RoundContext::Length(ell_low, ell_high, epsilon);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerLength(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerSubShapeRequest(int alphabet,
-                                                         int ell_s,
-                                                         double epsilon,
-                                                         bool allow_repeats) {
-  auto ctx = RoundContext::SubShape(alphabet, ell_s, epsilon, allow_repeats);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerSubShape(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerCandidateRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::Selection(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerSelection(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerRefinementRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::Refinement(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerRefinement(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerClassRefineRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::ClassRefinement(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerClassRefinement(*ctx, nullptr, &report));
-  return EncodeReport(report);
 }
 
 ReportAggregator::ReportAggregator(ReportKind kind, size_t domain,

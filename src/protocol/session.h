@@ -8,70 +8,40 @@
 #ifndef PRIVSHAPE_PROTOCOL_SESSION_H_
 #define PRIVSHAPE_PROTOCOL_SESSION_H_
 
-#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "distance/distance.h"
 #include "protocol/messages.h"
 #include "protocol/round_context.h"
 #include "series/sequence.h"
 
 namespace privshape::proto {
 
-/// The user-side endpoint of the collection protocol. Owns the user's
-/// private compressed word; every Answer* method performs the stage's
-/// local perturbation and returns an encoded Report — the only bytes that
-/// ever leave the device. All privacy-relevant randomness comes from the
-/// client's own Rng.
+/// The user-side endpoint of the collection protocol, and the one client
+/// answer path: the in-process mechanisms, the round coordinator and the
+/// socket loadgen all answer through it. Owns the user's private
+/// compressed word; every Answer* method performs the stage's local
+/// perturbation against the round's shared RoundContext and writes the
+/// Report — the only bytes that ever leave the device. All
+/// privacy-relevant randomness comes from the client's own Rng.
 ///
 /// With a caller-owned AnswerScratch, the word-dependent part of a P_c,
 /// P_d or P_e answer is memoized per distinct word and round (see
 /// AnswerMemo); the user's own draws are unchanged.
-///
-/// Two entry-point families produce byte-identical reports:
-///  - the string-decoding AnswerXxxRequest methods (the wire API), which
-///    rebuild the round state per call, and
-///  - the Answer*(const RoundContext&, ...) hot-path overloads, which run
-///    against a shared pre-decoded context plus per-worker scratch and
-///    allocate nothing per report.
 class ClientSession {
  public:
   /// `label` is the user's private class label, required only for the
   /// classification refinement round (P_e); -1 means unlabeled. Like the
   /// word, it is only ever read inside this session's local perturbation.
-  ClientSession(Sequence word, dist::Metric metric, uint64_t seed,
-                int label = -1)
-      : word_(std::move(word)), metric_(metric), rng_(seed), label_(label) {}
+  ClientSession(Sequence word, uint64_t seed, int label = -1)
+      : word_(std::move(word)), rng_(seed), label_(label) {}
 
   int label() const { return label_; }
 
-  /// P_a stage: GRR over the clipped length range.
-  Result<std::string> AnswerLengthRequest(int ell_low, int ell_high,
-                                          double epsilon);
-
-  /// P_b stage: padding-and-sampling sub-shape report at budget epsilon.
-  /// `alphabet` is the SAX alphabet size; ell_s the announced trie height.
-  Result<std::string> AnswerSubShapeRequest(int alphabet, int ell_s,
-                                            double epsilon,
-                                            bool allow_repeats);
-
-  /// P_c stage: EM selection over the server's candidate list.
-  Result<std::string> AnswerCandidateRequest(const std::string& request);
-
-  /// P_d stage (clustering): GRR over the candidate index.
-  Result<std::string> AnswerRefinementRequest(const std::string& request);
-
-  /// P_e stage (classification): OUE bit vector over candidate x class
-  /// cells. Fails (no report leaves the device) when the session is
-  /// unlabeled or the label falls outside the announced class count.
-  Result<std::string> AnswerClassRefineRequest(const std::string& request);
-
-  // --- Shared-context hot path -------------------------------------------
-  //
   // All overloads write the answer into *out (bits cleared, every field
   // set) and fail with InvalidArgument if ctx.kind() does not match the
   // method. `scratch` may be nullptr for the stages that need none (P_a,
@@ -125,7 +95,6 @@ class ClientSession {
 
  private:
   Sequence word_;
-  dist::Metric metric_;
   Rng rng_;
   int label_ = -1;
 };

@@ -206,8 +206,7 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
   for (uint64_t user = 0; user < 100; ++user) {
     Sequence word = PlantedWord(user);
     int label = PlantedLabel(user);
-    proto::ClientSession session(word, dist::Metric::kSed,
-                                 DeriveSeed(5, user), label);
+    proto::ClientSession session(word, DeriveSeed(5, user), label);
     proto::Report report;
     ASSERT_TRUE(
         session.AnswerClassRefinement(*ctx, &scratch, &report).ok());
@@ -285,11 +284,11 @@ TEST(CollectorClassificationTest, UnlabeledSessionFailsClassRefinement) {
   request.candidates = {{0, 1}, {1, 0}};
   auto ctx = proto::RoundContext::ClassRefinement(request, dist::Metric::kSed);
   ASSERT_TRUE(ctx.ok());
-  proto::ClientSession unlabeled({0, 1}, dist::Metric::kSed, 7);
+  proto::ClientSession unlabeled({0, 1}, 7);
   proto::Report report;
   auto st = unlabeled.AnswerClassRefinement(*ctx, nullptr, &report);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  proto::ClientSession mislabeled({0, 1}, dist::Metric::kSed, 7, 2);
+  proto::ClientSession mislabeled({0, 1}, 7, 2);
   EXPECT_EQ(mislabeled.AnswerClassRefinement(*ctx, nullptr, &report).code(),
             StatusCode::kFailedPrecondition);
 }

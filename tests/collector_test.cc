@@ -7,7 +7,6 @@
 #include "collector/round_coordinator.h"
 #include "collector/sharded_aggregator.h"
 #include "common/rng.h"
-#include "common/span.h"
 #include "common/thread_pool.h"
 #include "core/privshape.h"
 #include "protocol/messages.h"
@@ -22,7 +21,6 @@ using collector::RoundCoordinator;
 using collector::ShardedAggregator;
 using collector::StageSpec;
 using core::MechanismConfig;
-using proto::EncodeReport;
 using proto::Report;
 using proto::ReportKind;
 
@@ -193,12 +191,13 @@ TEST(RoundCoordinatorTest, MetricsCoverEveryRound) {
 TEST(ClientFleetTest, SessionsAreReproducible) {
   MechanismConfig config = TestConfig();
   ClientFleet fleet = PlantedFleet(50, config);
+  auto ctx = proto::RoundContext::Length(1, 6, 4.0);
+  ASSERT_TRUE(ctx.ok());
   for (size_t user : {size_t{0}, size_t{7}, size_t{49}}) {
-    auto a = fleet.MakeSession(user).AnswerLengthRequest(1, 6, 4.0);
-    auto b = fleet.MakeSession(user).AnswerLengthRequest(1, 6, 4.0);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << "user " << user;
+    proto::ReportBatch a, b;
+    ASSERT_TRUE(fleet.MakeSession(user).AnswerTo(*ctx, nullptr, &a).ok());
+    ASSERT_TRUE(fleet.MakeSession(user).AnswerTo(*ctx, nullptr, &b).ok());
+    EXPECT_EQ(a.view(0), b.view(0)) << "user " << user;
   }
 }
 
@@ -223,31 +222,32 @@ StageSpec LengthSpec(size_t domain = 5, double epsilon = 2.0) {
   return spec;
 }
 
-std::string LengthReport(uint64_t value) {
+Report LengthReport(uint64_t value) {
   Report report;
   report.kind = ReportKind::kLength;
   report.value = value;
-  return EncodeReport(report);
+  return report;
 }
 
 TEST(ShardedAggregatorTest, MergeIsExactAcrossAnyPartition) {
-  std::vector<std::string> reports;
-  for (uint64_t v = 0; v < 100; ++v) reports.push_back(LengthReport(v % 5));
+  proto::ReportBatch reports;
+  for (uint64_t v = 0; v < 100; ++v) reports.Append(LengthReport(v % 5));
 
   ShardedAggregator single(LengthSpec(), 1);
   single.ConsumeBatch(0, reports);
 
   ShardedAggregator sharded(LengthSpec(), 7);
-  // Deal the same reports round-robin across 7 shards in small batches.
-  std::vector<std::vector<std::string>> lanes(7);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    lanes[i % 7].push_back(reports[i]);
-  }
+  // Deal the same reports round-robin across 7 shards in batches of 3.
   for (size_t shard = 0; shard < 7; ++shard) {
-    Span<const std::string> lane(lanes[shard]);
-    for (size_t off = 0; off < lane.size(); off += 3) {
-      sharded.ConsumeBatch(shard, lane.Sub(off, 3));
+    proto::ReportBatch batch;
+    for (size_t i = shard; i < reports.size(); i += 7) {
+      batch.AppendEncoded(reports.view(i));
+      if (batch.size() == 3) {
+        sharded.ConsumeBatch(shard, batch);
+        batch.Clear();
+      }
     }
+    if (!batch.empty()) sharded.ConsumeBatch(shard, batch);
   }
 
   EXPECT_EQ(single.accepted(), sharded.accepted());
@@ -264,9 +264,12 @@ TEST(ShardedAggregatorTest, RejectsMalformedAndOutOfWindow) {
   Report bad_level;
   bad_level.kind = ReportKind::kLength;
   bad_level.level = 3;  // window is [0, 1)
-  std::vector<std::string> batch = {
-      LengthReport(2), "garbage", EncodeReport(wrong_kind),
-      EncodeReport(bad_level), LengthReport(99)};  // 99 out of domain
+  proto::ReportBatch batch;
+  batch.Append(LengthReport(2));
+  batch.AppendEncoded("garbage");
+  batch.Append(wrong_kind);
+  batch.Append(bad_level);
+  batch.Append(LengthReport(99));  // 99 out of domain
   agg.ConsumeBatch(1, batch);
   EXPECT_EQ(agg.accepted(), 1u);
   EXPECT_EQ(agg.rejected(), 4u);
@@ -281,13 +284,13 @@ TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {
   spec.min_level = 1;
   spec.num_levels = 3;
   ShardedAggregator agg(spec, 2);
-  std::vector<std::string> batch;
+  proto::ReportBatch batch;
   for (uint64_t level = 1; level <= 3; ++level) {
     Report report;
     report.kind = ReportKind::kSubShape;
     report.level = level;
     report.value = level;  // distinct value per level
-    batch.push_back(EncodeReport(report));
+    batch.Append(report);
   }
   agg.ConsumeBatch(0, batch);
   for (size_t bucket = 0; bucket < 3; ++bucket) {

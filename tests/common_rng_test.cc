@@ -79,6 +79,14 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+TEST(RngTest, GaussianZeroStddevIsMeanWithoutDraw) {
+  // std::normal_distribution forbids stddev 0 (libstdc++ assertions
+  // abort on it); a point mass returns the mean and leaves the stream.
+  Rng rng(8), fresh(8);
+  EXPECT_EQ(rng.Gaussian(0.25, 0.0), 0.25);
+  EXPECT_EQ(rng.engine()(), fresh.engine()());
+}
+
 TEST(RngTest, LaplaceMeanAndScale) {
   Rng rng(9);
   const int n = 100000;

@@ -1,3 +1,10 @@
+/// EM candidate selection (§III-C-2, Eq. (2)) as a P_c round answers it
+/// — every user scores the broadcast candidates against their own word
+/// and releases one index through the Exponential Mechanism
+/// (AnswerRoundInProcess over the Selection context) — plus the scalar
+/// matching references (MatchDistances*, ClosestCandidate) the SIMD
+/// kernels are checked against.
+
 #include "core/em_selection.h"
 
 #include <gtest/gtest.h>
@@ -6,11 +13,10 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "core/rounds.h"
 
 namespace privshape {
 namespace {
-
-using core::EmSelectionCounts;
 
 std::vector<size_t> AllUsers(size_t n) {
   std::vector<size_t> users(n);
@@ -18,12 +24,29 @@ std::vector<size_t> AllUsers(size_t n) {
   return users;
 }
 
+/// The selection counts of one P_c round (prefix matching, as every trie
+/// level runs it).
+Result<std::vector<double>> SelectionRound(
+    const std::vector<Sequence>& candidates,
+    const std::vector<Sequence>& sequences,
+    const std::vector<size_t>& population, dist::Metric metric,
+    double epsilon, uint64_t seed) {
+  proto::CandidateRequest request;
+  request.epsilon = epsilon;
+  request.candidates = candidates;
+  auto ctx = proto::RoundContext::Selection(std::move(request), metric);
+  if (!ctx.ok()) return ctx.status();
+  auto counts = core::AnswerRoundInProcess(*ctx, population, sequences,
+                                           nullptr, seed);
+  if (!counts.ok()) return counts.status();
+  return std::move((*counts)[0]);
+}
+
 TEST(EmSelectionTest, CountsSumToPopulationSize) {
   std::vector<Sequence> candidates = {{0, 1}, {1, 2}, {2, 0}};
   std::vector<Sequence> sequences(50, Sequence{0, 1, 2});
-  Rng rng(111);
-  auto counts = EmSelectionCounts(candidates, sequences, AllUsers(50),
-                                  dist::Metric::kSed, 2.0, true, &rng);
+  auto counts = SelectionRound(candidates, sequences, AllUsers(50),
+                               dist::Metric::kSed, 2.0, 111);
   ASSERT_TRUE(counts.ok());
   double total = 0;
   for (double c : *counts) total += c;
@@ -33,9 +56,8 @@ TEST(EmSelectionTest, CountsSumToPopulationSize) {
 TEST(EmSelectionTest, TrueCandidateDominatesAtHighEps) {
   std::vector<Sequence> candidates = {{0, 1}, {2, 3}, {3, 0}};
   std::vector<Sequence> sequences(400, Sequence{0, 1});
-  Rng rng(112);
-  auto counts = EmSelectionCounts(candidates, sequences, AllUsers(400),
-                                  dist::Metric::kSed, 8.0, false, &rng);
+  auto counts = SelectionRound(candidates, sequences, AllUsers(400),
+                               dist::Metric::kSed, 8.0, 112);
   ASSERT_TRUE(counts.ok());
   EXPECT_GT((*counts)[0], (*counts)[1]);
   EXPECT_GT((*counts)[0], (*counts)[2]);
@@ -45,9 +67,8 @@ TEST(EmSelectionTest, TrueCandidateDominatesAtHighEps) {
 TEST(EmSelectionTest, LowEpsApproachesUniform) {
   std::vector<Sequence> candidates = {{0, 1}, {2, 3}};
   std::vector<Sequence> sequences(10000, Sequence{0, 1});
-  Rng rng(113);
-  auto counts = EmSelectionCounts(candidates, sequences, AllUsers(10000),
-                                  dist::Metric::kSed, 0.01, false, &rng);
+  auto counts = SelectionRound(candidates, sequences, AllUsers(10000),
+                               dist::Metric::kSed, 0.01, 113);
   ASSERT_TRUE(counts.ok());
   // At eps ~ 0 both candidates are nearly equally likely.
   EXPECT_NEAR((*counts)[0] / 10000.0, 0.5, 0.03);
@@ -58,9 +79,8 @@ TEST(EmSelectionTest, PrefixCompareUsesUserPrefix) {
   // with prefix comparison candidate 0 dominates over "cd".
   std::vector<Sequence> candidates = {{0, 1}, {2, 3}};
   std::vector<Sequence> sequences(300, Sequence{0, 1, 2, 3});
-  Rng rng(114);
-  auto counts = EmSelectionCounts(candidates, sequences, AllUsers(300),
-                                  dist::Metric::kSed, 6.0, true, &rng);
+  auto counts = SelectionRound(candidates, sequences, AllUsers(300),
+                               dist::Metric::kSed, 6.0, 114);
   ASSERT_TRUE(counts.ok());
   EXPECT_GT((*counts)[0], (*counts)[1]);
 }
@@ -68,9 +88,8 @@ TEST(EmSelectionTest, PrefixCompareUsesUserPrefix) {
 TEST(EmSelectionTest, EmptyPopulationGivesZeroCounts) {
   std::vector<Sequence> candidates = {{0}, {1}};
   std::vector<Sequence> sequences(5, Sequence{0});
-  Rng rng(115);
-  auto counts = EmSelectionCounts(candidates, sequences, {},
-                                  dist::Metric::kDtw, 1.0, true, &rng);
+  auto counts = SelectionRound(candidates, sequences, {},
+                               dist::Metric::kDtw, 1.0, 115);
   ASSERT_TRUE(counts.ok());
   EXPECT_DOUBLE_EQ((*counts)[0], 0.0);
   EXPECT_DOUBLE_EQ((*counts)[1], 0.0);
@@ -78,18 +97,16 @@ TEST(EmSelectionTest, EmptyPopulationGivesZeroCounts) {
 
 TEST(EmSelectionTest, RejectsEmptyCandidates) {
   std::vector<Sequence> sequences(5, Sequence{0});
-  Rng rng(116);
-  EXPECT_FALSE(EmSelectionCounts({}, sequences, AllUsers(5),
-                                 dist::Metric::kSed, 1.0, true, &rng)
+  EXPECT_FALSE(SelectionRound({}, sequences, AllUsers(5),
+                              dist::Metric::kSed, 1.0, 116)
                    .ok());
 }
 
 TEST(EmSelectionTest, RejectsBadUserIndex) {
   std::vector<Sequence> candidates = {{0}};
   std::vector<Sequence> sequences(5, Sequence{0});
-  Rng rng(117);
-  EXPECT_FALSE(EmSelectionCounts(candidates, sequences, {77},
-                                 dist::Metric::kSed, 1.0, true, &rng)
+  EXPECT_FALSE(SelectionRound(candidates, sequences, {77},
+                              dist::Metric::kSed, 1.0, 117)
                    .ok());
 }
 
@@ -195,9 +212,8 @@ TEST(EmSelectionTest, WorksWithEveryMetric) {
   for (dist::Metric m :
        {dist::Metric::kDtw, dist::Metric::kSed, dist::Metric::kEuclidean,
         dist::Metric::kHausdorff}) {
-    Rng rng(118);
-    auto counts = EmSelectionCounts(candidates, sequences, AllUsers(20), m,
-                                    2.0, true, &rng);
+    auto counts = SelectionRound(candidates, sequences, AllUsers(20), m,
+                                 2.0, 118);
     ASSERT_TRUE(counts.ok()) << dist::MetricName(m);
   }
 }

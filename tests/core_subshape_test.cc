@@ -1,3 +1,8 @@
+/// The P_b round: the pair encoding (proto::PairToIndex / IndexToPair),
+/// padding-and-sampling answers through each user's ClientSession
+/// (AnswerRoundInProcess over the SubShape context), and the server's
+/// per-level ranking (RankSubShapes).
+
 #include "core/subshape.h"
 
 #include <gtest/gtest.h>
@@ -5,15 +10,15 @@
 #include <numeric>
 #include <set>
 
-#include "common/rng.h"
+#include "core/rounds.h"
+#include "protocol/messages.h"
 
 namespace privshape {
 namespace {
 
-using core::EstimateSubShapes;
-using core::IndexToPair;
-using core::PairToIndex;
-using core::SubShapeDomainSize;
+using proto::IndexToPair;
+using proto::PairToIndex;
+using proto::SubShapeDomainSize;
 
 TEST(PairIndexTest, DomainSizes) {
   EXPECT_EQ(SubShapeDomainSize(4, false), 4u * 3u + 1u);
@@ -56,15 +61,27 @@ std::vector<size_t> AllUsers(size_t n) {
   return users;
 }
 
+/// The P_b round over `population` plus the server's top-m ranking.
+Result<core::SubShapeEstimates> SubShapeRound(
+    const std::vector<Sequence>& sequences,
+    const std::vector<size_t>& population, int ell_s, int t, size_t top_m,
+    double epsilon, bool allow_repeats, uint64_t seed) {
+  auto ctx = proto::RoundContext::SubShape(t, ell_s, epsilon, allow_repeats);
+  if (!ctx.ok()) return ctx.status();
+  auto counts = core::AnswerRoundInProcess(*ctx, population, sequences,
+                                           nullptr, seed);
+  if (!counts.ok()) return counts.status();
+  return core::RankSubShapes(*counts, t, top_m, allow_repeats);
+}
+
 TEST(SubShapeTest, RecoversPlantedTransitions) {
   // Every user holds "abca" (t=3): level 1 pair (a,b), level 2 (b,c),
   // level 3 (c,a). With eps = 4 the top-1 pair per level must match.
   std::vector<Sequence> sequences(3000, Sequence{0, 1, 2, 0});
-  Rng rng(101);
-  auto est = EstimateSubShapes(sequences, AllUsers(sequences.size()),
-                               /*ell_s=*/4, /*t=*/3, /*top_m=*/1,
-                               /*epsilon=*/4.0, /*allow_repeats=*/false,
-                               &rng);
+  auto est = SubShapeRound(sequences, AllUsers(sequences.size()),
+                           /*ell_s=*/4, /*t=*/3, /*top_m=*/1,
+                           /*epsilon=*/4.0, /*allow_repeats=*/false,
+                           101);
   ASSERT_TRUE(est.ok());
   ASSERT_EQ(est->top_transitions.size(), 3u);
   EXPECT_EQ(est->top_transitions[0][0], (trie::Transition{0, 1}));
@@ -73,12 +90,12 @@ TEST(SubShapeTest, RecoversPlantedTransitions) {
 }
 
 TEST(SubShapeTest, SingleLevelSequenceYieldsNoTransitions) {
-  std::vector<Sequence> sequences(10, Sequence{0});
-  Rng rng(102);
-  auto est = EstimateSubShapes(sequences, AllUsers(10), 1, 3, 2, 1.0, false,
-                               &rng);
-  ASSERT_TRUE(est.ok());
-  EXPECT_TRUE(est->top_transitions.empty());
+  // ell_S = 1 has no adjacent pairs: there is no P_b round to run, and
+  // the server ranks the empty count set into no transitions.
+  EXPECT_EQ(proto::RoundContext::SubShape(3, 1, 1.0, false).status().code(),
+            StatusCode::kFailedPrecondition);
+  core::SubShapeEstimates est = core::RankSubShapes({}, 3, 2, false);
+  EXPECT_TRUE(est.top_transitions.empty());
 }
 
 TEST(SubShapeTest, ShortSequencesReportPaddingSentinel) {
@@ -86,9 +103,8 @@ TEST(SubShapeTest, ShortSequencesReportPaddingSentinel) {
   // the padded region, so no real pair should dominate; the function must
   // still return top lists (noise only).
   std::vector<Sequence> sequences(2000, Sequence{0});
-  Rng rng(103);
-  auto est = EstimateSubShapes(sequences, AllUsers(sequences.size()), 4, 3,
-                               2, 4.0, false, &rng);
+  auto est = SubShapeRound(sequences, AllUsers(sequences.size()), 4, 3,
+                           2, 4.0, false, 103);
   ASSERT_TRUE(est.ok());
   ASSERT_EQ(est->counts.size(), 3u);
   // The sentinel bucket (last index) should hold nearly all the mass at
@@ -103,9 +119,8 @@ TEST(SubShapeTest, ShortSequencesReportPaddingSentinel) {
 
 TEST(SubShapeTest, TopMRespectsRequestedCount) {
   std::vector<Sequence> sequences(1000, Sequence{0, 1, 0, 1});
-  Rng rng(104);
-  auto est = EstimateSubShapes(sequences, AllUsers(sequences.size()), 4, 4,
-                               5, 2.0, false, &rng);
+  auto est = SubShapeRound(sequences, AllUsers(sequences.size()), 4, 4,
+                           5, 2.0, false, 104);
   ASSERT_TRUE(est.ok());
   for (const auto& level : est->top_transitions) {
     EXPECT_EQ(level.size(), 5u);
@@ -115,9 +130,8 @@ TEST(SubShapeTest, TopMRespectsRequestedCount) {
 TEST(SubShapeTest, AllowRepeatsHandlesUncompressedWords) {
   // Raw SAX words with runs: (a,a) must be representable.
   std::vector<Sequence> sequences(2000, Sequence{0, 0, 1, 1});
-  Rng rng(105);
-  auto est = EstimateSubShapes(sequences, AllUsers(sequences.size()), 4, 2,
-                               1, 4.0, true, &rng);
+  auto est = SubShapeRound(sequences, AllUsers(sequences.size()), 4, 2,
+                           1, 4.0, true, 105);
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->top_transitions[0][0], (trie::Transition{0, 0}));
   EXPECT_EQ(est->top_transitions[1][0], (trie::Transition{0, 1}));
@@ -126,12 +140,11 @@ TEST(SubShapeTest, AllowRepeatsHandlesUncompressedWords) {
 
 TEST(SubShapeTest, RejectsInvalidInputs) {
   std::vector<Sequence> sequences(10, Sequence{0, 1});
-  Rng rng(106);
   EXPECT_FALSE(
-      EstimateSubShapes(sequences, AllUsers(10), 0, 3, 1, 1.0, false, &rng)
+      SubShapeRound(sequences, AllUsers(10), 0, 3, 1, 1.0, false, 106)
           .ok());
   EXPECT_FALSE(
-      EstimateSubShapes(sequences, {99}, 3, 3, 1, 1.0, false, &rng).ok());
+      SubShapeRound(sequences, {99}, 3, 3, 1, 1.0, false, 106).ok());
 }
 
 }  // namespace

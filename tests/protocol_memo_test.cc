@@ -50,7 +50,7 @@ Sequence DistinctWord(uint64_t user) {
 }
 
 ClientSession SessionFor(const Sequence& word, uint64_t user, int label) {
-  return ClientSession(word, dist::Metric::kSed, DeriveSeed(7, user), label);
+  return ClientSession(word, DeriveSeed(7, user), label);
 }
 
 std::vector<Sequence> Candidates() {

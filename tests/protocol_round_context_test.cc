@@ -1,7 +1,9 @@
-/// RoundContext hot path vs the string-decoding wire API: for all four
-/// report kinds the two paths must emit byte-identical reports for the
-/// same user (same seed, same word), errors must match, and the batched
-/// ReportBatch codec must round-trip through the aggregation side.
+/// A remote client builds its RoundContext from the broadcast bytes (the
+/// "string path": decode the encoded request, then build); the round
+/// sequence builds it from the request it just encoded. For all five
+/// report kinds the two contexts must give byte-identical reports for the
+/// same user (same seed, same word), construction must fail on the same
+/// inputs, and the batched ReportBatch codec must round-trip.
 
 #include <gtest/gtest.h>
 
@@ -36,8 +38,8 @@ Sequence WordFor(uint64_t user) {
   return word;
 }
 
-ClientSession SessionFor(uint64_t user, dist::Metric metric) {
-  return ClientSession(WordFor(user), metric, DeriveSeed(7, user));
+ClientSession SessionFor(uint64_t user) {
+  return ClientSession(WordFor(user), DeriveSeed(7, user));
 }
 
 CandidateRequest SampleRequest(double epsilon) {
@@ -51,8 +53,8 @@ CandidateRequest SampleRequest(double epsilon) {
 /// The context-path report for one user (scratch shared across calls to
 /// prove reuse does not leak state between users).
 std::string ContextAnswer(const RoundContext& ctx, uint64_t user,
-                          dist::Metric metric, AnswerScratch* scratch) {
-  ClientSession session = SessionFor(user, metric);
+                          AnswerScratch* scratch) {
+  ClientSession session = SessionFor(user);
   ReportBatch batch;
   Status st = session.AnswerTo(ctx, scratch, &batch);
   EXPECT_TRUE(st.ok()) << st;
@@ -61,15 +63,21 @@ std::string ContextAnswer(const RoundContext& ctx, uint64_t user,
 }
 
 TEST(RoundContextTest, LengthAnswersByteIdenticalToStringPath) {
-  auto ctx = RoundContext::Length(1, 10, 4.0);
-  ASSERT_TRUE(ctx.ok());
+  proto::LengthRequest request;
+  request.ell_low = 1;
+  request.ell_high = 10;
+  request.epsilon = 4.0;
+  auto built = RoundContext::Length(request);
+  auto decoded =
+      proto::DecodeLengthRequest(proto::EncodeLengthRequest(request));
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(decoded.ok());
+  auto wire = RoundContext::Length(*decoded);
+  ASSERT_TRUE(wire.ok());
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 200; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerLengthRequest(1, 10, 4.0);
-    ASSERT_TRUE(wire.ok());
-    EXPECT_EQ(ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch),
-              *wire)
+    EXPECT_EQ(ContextAnswer(*built, user, &scratch),
+              ContextAnswer(*wire, user, &scratch))
         << "user " << user;
   }
 }
@@ -78,30 +86,35 @@ TEST(RoundContextTest, OneValueLengthDomainIsDeterministicZero) {
   auto ctx = RoundContext::Length(3, 3, 4.0);
   ASSERT_TRUE(ctx.ok());
   EXPECT_EQ(ctx->grr(), nullptr);
+  EXPECT_EQ(ctx->domain(), 1u);
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 20; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerLengthRequest(3, 3, 4.0);
-    ASSERT_TRUE(wire.ok());
-    std::string got =
-        ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch);
-    EXPECT_EQ(got, *wire);
-    auto report = proto::DecodeReport(got);
+    auto report = proto::DecodeReport(ContextAnswer(*ctx, user, &scratch));
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->value, 0u);
   }
 }
 
 TEST(RoundContextTest, SubShapeAnswersByteIdenticalToStringPath) {
-  auto ctx = RoundContext::SubShape(4, 6, 4.0, false);
-  ASSERT_TRUE(ctx.ok());
+  proto::SubShapeRequest request;
+  request.alphabet = 4;
+  request.ell_s = 6;
+  request.epsilon = 4.0;
+  auto built = RoundContext::SubShape(request);
+  auto decoded =
+      proto::DecodeSubShapeRequest(proto::EncodeSubShapeRequest(request));
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(decoded.ok());
+  auto wire = RoundContext::SubShape(*decoded);
+  ASSERT_TRUE(wire.ok());
+  // The report window spans levels [1, ell_s).
+  EXPECT_EQ(wire->min_level(), 1u);
+  EXPECT_EQ(wire->num_levels(), 5u);
+  EXPECT_EQ(wire->domain(), proto::SubShapeDomainSize(4, false));
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 200; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerSubShapeRequest(4, 6, 4.0, false);
-    ASSERT_TRUE(wire.ok());
-    EXPECT_EQ(ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch),
-              *wire)
+    EXPECT_EQ(ContextAnswer(*built, user, &scratch),
+              ContextAnswer(*wire, user, &scratch))
         << "user " << user;
   }
 }
@@ -112,13 +125,16 @@ TEST(RoundContextTest, SelectionAnswersByteIdenticalToStringPath) {
   for (dist::Metric metric :
        {dist::Metric::kDtw, dist::Metric::kSed, dist::Metric::kEuclidean,
         dist::Metric::kHausdorff}) {
-    auto ctx = RoundContext::Selection(encoded, metric);
-    ASSERT_TRUE(ctx.ok());
-    AnswerScratch scratch;
+    auto built = RoundContext::Selection(request, metric);
+    auto wire = RoundContext::Selection(encoded, metric);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(wire.ok());
+    EXPECT_EQ(wire->min_level(), request.level);
+    EXPECT_EQ(wire->domain(), request.candidates.size());
+    AnswerScratch built_scratch, wire_scratch;
     for (uint64_t user = 0; user < 150; ++user) {
-      auto wire = SessionFor(user, metric).AnswerCandidateRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      EXPECT_EQ(ContextAnswer(*ctx, user, metric, &scratch), *wire)
+      EXPECT_EQ(ContextAnswer(*built, user, &built_scratch),
+                ContextAnswer(*wire, user, &wire_scratch))
           << dist::MetricName(metric) << " user " << user;
     }
   }
@@ -130,16 +146,23 @@ TEST(RoundContextTest, RefinementAnswersByteIdenticalToStringPath) {
   for (dist::Metric metric :
        {dist::Metric::kDtw, dist::Metric::kSed, dist::Metric::kEuclidean,
         dist::Metric::kHausdorff}) {
-    auto ctx = RoundContext::Refinement(encoded, metric);
-    ASSERT_TRUE(ctx.ok());
-    AnswerScratch scratch;
+    auto built = RoundContext::Refinement(request, metric);
+    auto wire = RoundContext::Refinement(encoded, metric);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(wire.ok());
+    AnswerScratch built_scratch, wire_scratch;
     for (uint64_t user = 0; user < 150; ++user) {
-      auto wire = SessionFor(user, metric).AnswerRefinementRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      EXPECT_EQ(ContextAnswer(*ctx, user, metric, &scratch), *wire)
+      EXPECT_EQ(ContextAnswer(*built, user, &built_scratch),
+                ContextAnswer(*wire, user, &wire_scratch))
           << dist::MetricName(metric) << " user " << user;
     }
   }
+  // A lone candidate still gets a two-value GRR domain.
+  CandidateRequest lone = SampleRequest(8.0);
+  lone.candidates.resize(1);
+  auto ctx = RoundContext::Refinement(lone, dist::Metric::kSed);
+  ASSERT_TRUE(ctx.ok());
+  EXPECT_EQ(ctx->domain(), 2u);
 }
 
 TEST(RoundContextTest, ClassRefinementAnswersByteIdenticalToStringPath) {
@@ -149,22 +172,27 @@ TEST(RoundContextTest, ClassRefinementAnswersByteIdenticalToStringPath) {
   request.candidates = SampleRequest(5.0).candidates;
   std::string encoded = proto::EncodeClassRefineRequest(request);
   for (dist::Metric metric : {dist::Metric::kDtw, dist::Metric::kSed}) {
-    auto ctx = RoundContext::ClassRefinement(encoded, metric);
-    ASSERT_TRUE(ctx.ok()) << ctx.status();
-    EXPECT_EQ(ctx->kind(), ReportKind::kClassRefine);
-    EXPECT_EQ(ctx->cells(), request.candidates.size() * 4);
-    AnswerScratch scratch;
+    auto built = RoundContext::ClassRefinement(request, metric);
+    auto wire = RoundContext::ClassRefinement(encoded, metric);
+    ASSERT_TRUE(built.ok()) << built.status();
+    ASSERT_TRUE(wire.ok()) << wire.status();
+    EXPECT_EQ(wire->kind(), ReportKind::kClassRefine);
+    EXPECT_EQ(wire->cells(), request.candidates.size() * 4);
+    EXPECT_EQ(wire->domain(), wire->cells());
+    AnswerScratch built_scratch, wire_scratch;
     for (uint64_t user = 0; user < 150; ++user) {
       int label = static_cast<int>(user % 4);
-      ClientSession wire_session(WordFor(user), metric, DeriveSeed(7, user),
-                                 label);
-      auto wire = wire_session.AnswerClassRefineRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      ClientSession ctx_session(WordFor(user), metric, DeriveSeed(7, user),
-                                label);
-      ReportBatch batch;
-      ASSERT_TRUE(ctx_session.AnswerTo(*ctx, &scratch, &batch).ok());
-      EXPECT_EQ(std::string(batch.view(0)), *wire)
+      std::string answers[2];
+      const RoundContext* contexts[2] = {&*built, &*wire};
+      AnswerScratch* scratches[2] = {&built_scratch, &wire_scratch};
+      for (int path = 0; path < 2; ++path) {
+        ClientSession session(WordFor(user), DeriveSeed(7, user), label);
+        ReportBatch batch;
+        ASSERT_TRUE(
+            session.AnswerTo(*contexts[path], scratches[path], &batch).ok());
+        answers[path] = std::string(batch.view(0));
+      }
+      EXPECT_EQ(answers[0], answers[1])
           << dist::MetricName(metric) << " user " << user;
     }
   }
@@ -205,7 +233,7 @@ TEST(RoundContextTest, ClassRefinementConstructionValidates) {
 }
 
 TEST(RoundContextTest, ConstructionValidatesLikeTheWireApi) {
-  // Same failures the string entry points produce.
+  // Built or decoded, an invalid request yields no context.
   EXPECT_FALSE(RoundContext::Length(0, 10, 4.0).ok());
   EXPECT_FALSE(RoundContext::Length(5, 4, 4.0).ok());
   EXPECT_FALSE(RoundContext::Length(1, 10, -1.0).ok());  // bad epsilon
@@ -229,7 +257,7 @@ TEST(RoundContextTest, AnswerRejectsKindMismatch) {
       RoundContext::Selection(SampleRequest(4.0), dist::Metric::kSed);
   ASSERT_TRUE(length_ctx.ok());
   ASSERT_TRUE(select_ctx.ok());
-  ClientSession session = SessionFor(0, dist::Metric::kSed);
+  ClientSession session = SessionFor(0);
   Report report;
   EXPECT_FALSE(session.AnswerLength(*select_ctx, nullptr, &report).ok());
   EXPECT_FALSE(session.AnswerSelection(*length_ctx, nullptr, &report).ok());
@@ -246,7 +274,7 @@ TEST(RoundContextTest, ReportReuseClearsStaleBits) {
   ASSERT_TRUE(ctx.ok());
   AnswerScratch scratch;
   scratch.report.bits = {1, 0, 1};
-  ClientSession session = SessionFor(3, dist::Metric::kSed);
+  ClientSession session = SessionFor(3);
   ReportBatch batch;
   ASSERT_TRUE(session.AnswerTo(*ctx, &scratch, &batch).ok());
   auto decoded = proto::DecodeReport(batch.view(0));

@@ -2,6 +2,7 @@
 
 #include "protocol/codec.h"
 #include "protocol/messages.h"
+#include "protocol/round_context.h"
 #include "protocol/session.h"
 
 namespace privshape {
@@ -18,6 +19,7 @@ using proto::Encoder;
 using proto::Report;
 using proto::ReportAggregator;
 using proto::ReportKind;
+using proto::RoundContext;
 
 TEST(CodecTest, VarintRoundTrip) {
   Encoder enc;
@@ -194,21 +196,30 @@ TEST(MessagesTest, CandidateRequestRoundTrip) {
   EXPECT_EQ(*decoded, request);
 }
 
+/// What a remote client does with a broadcast: answer the round's
+/// context, and ship the encoded report.
+std::string AnswerOverWire(ClientSession& client, const RoundContext& ctx) {
+  Report report;
+  Status answered = client.Answer(ctx, nullptr, &report);
+  EXPECT_TRUE(answered.ok()) << answered;
+  return EncodeReport(report);
+}
+
 TEST(SessionTest, LengthAnswerIsValidReport) {
-  ClientSession client({0, 1, 2}, dist::Metric::kSed, 7);
-  auto wire = client.AnswerLengthRequest(1, 10, 4.0);
-  ASSERT_TRUE(wire.ok());
-  auto report = DecodeReport(*wire);
+  ClientSession client({0, 1, 2}, 7);
+  auto ctx = RoundContext::Length(1, 10, 4.0);
+  ASSERT_TRUE(ctx.ok());
+  auto report = DecodeReport(AnswerOverWire(client, *ctx));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kind, ReportKind::kLength);
   EXPECT_LT(report->value, 10u);
 }
 
 TEST(SessionTest, SubShapeAnswerCarriesLevel) {
-  ClientSession client({0, 1, 2, 0}, dist::Metric::kSed, 8);
-  auto wire = client.AnswerSubShapeRequest(3, 4, 4.0, false);
-  ASSERT_TRUE(wire.ok());
-  auto report = DecodeReport(*wire);
+  ClientSession client({0, 1, 2, 0}, 8);
+  auto ctx = RoundContext::SubShape(3, 4, 4.0, false);
+  ASSERT_TRUE(ctx.ok());
+  auto report = DecodeReport(AnswerOverWire(client, *ctx));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kind, ReportKind::kSubShape);
   EXPECT_GE(report->level, 1u);
@@ -216,44 +227,47 @@ TEST(SessionTest, SubShapeAnswerCarriesLevel) {
 }
 
 TEST(SessionTest, SubShapeRequiresTwoLevels) {
-  ClientSession client({0}, dist::Metric::kSed, 9);
-  EXPECT_FALSE(client.AnswerSubShapeRequest(3, 1, 4.0, false).ok());
+  EXPECT_FALSE(RoundContext::SubShape(3, 1, 4.0, false).ok());
 }
 
 TEST(SessionTest, CandidateAnswerSelectsWithinRange) {
-  ClientSession client({0, 1}, dist::Metric::kSed, 10);
+  ClientSession client({0, 1}, 10);
   CandidateRequest request;
   request.level = 1;
   request.epsilon = 6.0;
   request.candidates = {{0, 1}, {2, 0}, {1, 2}};
-  auto wire = client.AnswerCandidateRequest(EncodeCandidateRequest(request));
-  ASSERT_TRUE(wire.ok());
-  auto report = DecodeReport(*wire);
+  auto ctx = RoundContext::Selection(EncodeCandidateRequest(request),
+                                     dist::Metric::kSed);
+  ASSERT_TRUE(ctx.ok());
+  auto report = DecodeReport(AnswerOverWire(client, *ctx));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kind, ReportKind::kSelection);
+  EXPECT_EQ(report->level, 1u);
   EXPECT_LT(report->value, 3u);
 }
 
 TEST(SessionTest, RefinementAnswerUsesGrr) {
-  ClientSession client({0, 1, 2}, dist::Metric::kSed, 11);
+  ClientSession client({0, 1, 2}, 11);
   CandidateRequest request;
   request.epsilon = 8.0;
   request.candidates = {{0, 1, 2}, {2, 1, 0}};
-  auto wire = client.AnswerRefinementRequest(EncodeCandidateRequest(request));
-  ASSERT_TRUE(wire.ok());
-  auto report = DecodeReport(*wire);
+  auto ctx = RoundContext::Refinement(EncodeCandidateRequest(request),
+                                      dist::Metric::kSed);
+  ASSERT_TRUE(ctx.ok());
+  auto report = DecodeReport(AnswerOverWire(client, *ctx));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kind, ReportKind::kRefinement);
   EXPECT_LT(report->value, 2u);
 }
 
 TEST(SessionTest, MalformedRequestsRejected) {
-  ClientSession client({0, 1}, dist::Metric::kSed, 12);
-  EXPECT_FALSE(client.AnswerCandidateRequest("garbage").ok());
+  // A corrupt or empty broadcast builds no context, so no client answers.
+  EXPECT_FALSE(RoundContext::Selection("garbage", dist::Metric::kSed).ok());
   CandidateRequest empty;
   empty.epsilon = 1.0;
-  EXPECT_FALSE(
-      client.AnswerCandidateRequest(EncodeCandidateRequest(empty)).ok());
+  EXPECT_FALSE(RoundContext::Selection(EncodeCandidateRequest(empty),
+                                       dist::Metric::kSed)
+                   .ok());
 }
 
 TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
@@ -261,19 +275,24 @@ TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
   // wire recovers 3 as the frequent length.
   const int kLow = 1, kHigh = 6;
   const double kEps = 4.0;
-  ReportAggregator agg(ReportKind::kLength,
-                       static_cast<size_t>(kHigh - kLow + 1), kEps);
+  proto::LengthRequest request;
+  request.ell_low = kLow;
+  request.ell_high = kHigh;
+  request.epsilon = kEps;
+  auto decoded =
+      proto::DecodeLengthRequest(proto::EncodeLengthRequest(request));
+  ASSERT_TRUE(decoded.ok());
+  auto ctx = RoundContext::Length(*decoded);
+  ASSERT_TRUE(ctx.ok());
+  ReportAggregator agg(ReportKind::kLength, ctx->domain(), kEps);
   for (int i = 0; i < 400; ++i) {
     Sequence word;
     size_t len = (i % 10) < 7 ? 3 : 5;
     for (size_t j = 0; j < len; ++j) {
       word.push_back(static_cast<Symbol>(j % 3));
     }
-    ClientSession client(std::move(word), dist::Metric::kSed,
-                         100 + static_cast<uint64_t>(i));
-    auto wire = client.AnswerLengthRequest(kLow, kHigh, kEps);
-    ASSERT_TRUE(wire.ok());
-    agg.Consume(*wire);
+    ClientSession client(std::move(word), 100 + static_cast<uint64_t>(i));
+    agg.Consume(AnswerOverWire(client, *ctx));
   }
   EXPECT_EQ(agg.accepted(), 400u);
   EXPECT_EQ(agg.rejected(), 0u);

@@ -41,8 +41,11 @@ ALLOWED_DEPS = {
     "ldp": {"common"},
     "patternldp": {"common", "ldp", "series"},
     "eval": {"common", "distance", "series"},
-    "core": {"common", "distance", "eval", "ldp", "sax", "series", "trie"},
-    "protocol": {"common", "core", "distance", "ldp", "series"},
+    "protocol": {"common", "distance", "ldp", "series"},
+    "core": {
+        "common", "distance", "eval", "ldp", "protocol", "sax", "series",
+        "trie",
+    },
     "net": {"common", "protocol", "series", "telemetry"},
     "collector": {
         "common", "core", "distance", "net", "protocol", "series",

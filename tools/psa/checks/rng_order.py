@@ -44,7 +44,6 @@ CLOSURE_FILES = {
     "src/core/rounds.cc",
     "src/core/em_selection.cc",
     "src/core/subshape.cc",
-    "src/core/length_estimation.cc",
 }
 
 # common/rng.h IS the randomness layer; the canonical-order rules are
